@@ -197,8 +197,19 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
     /// Entries are removed from the cache here; the caller deregisters the
     /// returned handles.
     pub fn evict_over_budget(&mut self) -> Vec<H> {
+        self.evict_down_to(self.capacity_pages)
+    }
+
+    /// Idle LRU handles to evict so that `npages` fewer pages stay cached
+    /// (or nothing idle is left) — room for a registration the table
+    /// behind the cache refused although the page budget is not reached.
+    pub fn evict_pages(&mut self, npages: usize) -> Vec<H> {
+        self.evict_down_to(self.cached_pages.saturating_sub(npages))
+    }
+
+    fn evict_down_to(&mut self, target_pages: usize) -> Vec<H> {
         let mut victims = Vec::new();
-        while self.cached_pages > self.capacity_pages {
+        while self.cached_pages > target_pages {
             let Some((&stamp, &key)) = self.idle.iter().next() else {
                 break; // everything in use: over budget but stuck
             };
@@ -217,13 +228,37 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
             .collect()
     }
 
+    /// Drop every entry of `pid`, in use or idle, without handing the
+    /// handles back: the process exited and its registrations were
+    /// reclaimed with it, so there is nothing left to deregister.
+    pub fn forget_pid(&mut self, pid: Pid) {
+        let keys: Vec<SpanKey> = self
+            .entries
+            .keys()
+            .filter(|k| k.pid == pid)
+            .copied()
+            .collect();
+        for key in keys {
+            let e = self.detach(key);
+            if e.users == 0 {
+                self.idle.remove(&e.stamp);
+            }
+        }
+    }
+
+    /// Evict an entry the caller already took off the idle queue.
     fn remove_entry(&mut self, key: SpanKey) -> H {
-        let e = self.entries.remove(&key).expect("idle set in sync");
+        self.stats.evictions += 1;
+        self.detach(key).handle
+    }
+
+    /// Take `key`'s entry out of every map but the idle queue.
+    fn detach(&mut self, key: SpanKey) -> Entry<H> {
+        let e = self.entries.remove(&key).expect("caller holds a live key");
         self.by_handle.remove(&e.handle);
         self.index.remove(key.pid, key.page_base, key);
         self.cached_pages -= e.npages;
-        self.stats.evictions += 1;
-        e.handle
+        e
     }
 
     /// Total pages held by cached registrations (used + idle) — a running
@@ -239,6 +274,12 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Number of cached registrations with at least one user (never
+    /// evictable while that holds).
+    pub fn in_use(&self) -> usize {
+        self.entries.len() - self.idle.len()
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -305,6 +346,46 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.cached_pages(), 1);
         c.release(1).unwrap();
+    }
+
+    #[test]
+    fn evict_pages_makes_room_below_the_budget() {
+        let mut c: CoveringLru<u32> = CoveringLru::new(64);
+        for (i, h) in [(0u64, 10u32), (1, 11), (2, 12)] {
+            c.acquire(P, i * 4 * PG, 4 * PAGE_SIZE);
+            c.admit(P, i * 4 * PG, 4 * PAGE_SIZE, h);
+        }
+        c.release(10).unwrap();
+        c.release(11).unwrap();
+        assert_eq!(c.in_use(), 1);
+        // 12 of 64 pages cached: nothing is over budget…
+        assert!(c.evict_over_budget().is_empty());
+        // …yet five pages of room cost the two oldest idle entries.
+        assert_eq!(c.evict_pages(5), vec![10, 11]);
+        assert_eq!(c.cached_pages(), 4);
+        // Only the in-use entry is left: no room to make.
+        assert!(c.evict_pages(1).is_empty());
+        c.release(12).unwrap();
+    }
+
+    #[test]
+    fn forget_pid_drops_busy_and_idle_entries_of_that_pid_only() {
+        let other = Pid(2);
+        let mut c: CoveringLru<u32> = CoveringLru::new(64);
+        c.acquire(P, 0, PAGE_SIZE);
+        c.admit(P, 0, PAGE_SIZE, 1); // stays in use
+        c.acquire(P, 4 * PG, 2 * PAGE_SIZE);
+        c.admit(P, 4 * PG, 2 * PAGE_SIZE, 2);
+        c.release(2).unwrap(); // idle
+        c.acquire(other, 0, PAGE_SIZE);
+        c.admit(other, 0, PAGE_SIZE, 3);
+        c.release(3).unwrap();
+        c.forget_pid(P);
+        assert_eq!((c.len(), c.cached_pages(), c.in_use()), (1, 1, 0));
+        assert_eq!(c.stats().evictions, 0, "forgotten, not evicted");
+        assert_eq!(c.release(1), Err(CacheReleaseError::UnknownHandle));
+        assert_eq!(c.acquire(P, 0, PAGE_SIZE), None);
+        assert_eq!(c.drain_idle(), vec![3]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! code runs over real concurrency.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use simmem::{prot, KernelConfig, Pid, VirtAddr, PAGE_SIZE};
 use via::system::{NodeId, ViaSystem};
@@ -39,9 +40,18 @@ pub const ANY_TAG: u32 = u32::MAX;
 /// must probe every channel round-robin until one signals readiness.
 pub const ANY_SOURCE: RankId = usize::MAX;
 
-/// Handle to an in-flight send.
+/// Handle to a send: the send's sequence number within the communicator
+/// that issued it. Sequence numbers only grow, so a handle stays valid
+/// (and reads as "completed") however long ago its send finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendHandle(usize);
+pub struct SendHandle {
+    comm: u32,
+    seq: u64,
+}
+
+/// Source of communicator identities, so a handle presented to the wrong
+/// communicator is refused instead of aliasing one of its sends.
+static NEXT_COMM_ID: AtomicU32 = AtomicU32::new(0);
 
 /// A persistent send request: parameters plus the held registration.
 #[derive(Debug)]
@@ -83,9 +93,16 @@ struct Pair {
     oc_mem: MemId,
 }
 
+#[derive(Clone, Copy)]
 enum SendState {
     /// SM / one-copy: data is out; waiting for the receiver's DONE flag.
-    AwaitDone { cached_mem: Option<MemId> },
+    /// A one-copy message holds its buffer's registration and left `chunks`
+    /// `Send` completions on the sender's CQ (one per descriptor posted);
+    /// a shared-memory message holds neither (`None`, 0).
+    AwaitDone {
+        cached_mem: Option<MemId>,
+        chunks: usize,
+    },
     /// Zero-copy: announced; waiting for the rendezvous answer.
     ZcAwaitBuffer {
         cached_mem: MemId,
@@ -96,7 +113,23 @@ enum SendState {
     ZcAwaitDone { cached_mem: MemId },
 }
 
+impl SendState {
+    /// The registration-cache reference the send holds, if any.
+    fn cached_mem(&self) -> Option<MemId> {
+        match *self {
+            SendState::AwaitDone { cached_mem, .. } => cached_mem,
+            SendState::ZcAwaitBuffer { cached_mem, .. } | SendState::ZcAwaitDone { cached_mem } => {
+                Some(cached_mem)
+            }
+        }
+    }
+}
+
+/// A live send. It owns info slot `slot` of its pair until it is released,
+/// which is what bounds the in-flight set.
+#[derive(Clone, Copy)]
 struct PendingSend {
+    seq: u64,
     from: RankId,
     to: RankId,
     slot: usize,
@@ -108,14 +141,23 @@ struct PendingSend {
 pub struct Comm<F: Fabric = ViaSystem> {
     sys: F,
     cfg: MsgConfig,
+    /// Identity stamped into every [`SendHandle`] this communicator issues.
+    id: u32,
     ranks: Vec<RankInfo>,
-    pairs: HashMap<(RankId, RankId), Pair>,
-    pending: Vec<Option<PendingSend>>,
+    /// Directed channels, dense: `from * n_ranks + to` (`None` on the
+    /// diagonal).
+    pairs: Vec<Option<Pair>>,
+    /// Live sends in send order (ascending `seq`). A send leaves when it
+    /// finishes or is discarded, so this never holds more than
+    /// `pairs × info_slots` entries.
+    in_flight: Vec<PendingSend>,
+    next_seq: u64,
     caches: Vec<NodeRegCache>,
     /// Relay sends in flight for the indirect-communication machinery.
     pub(crate) pending_forward_handles: Vec<SendHandle>,
-    /// Recycled staging buffer for the SM and one-copy copy-out paths, so
-    /// steady-state receives do not allocate per message (or per chunk).
+    /// Recycled staging buffer for the SM and one-copy copy-out paths and
+    /// for probing a pair's info-slot array, so steady-state receives do
+    /// not allocate per message (or per chunk).
     copy_scratch: Vec<u8>,
     /// Per-rank 8-byte landing buffers for one-sided CAS results,
     /// allocated lazily on first use so steady-state `Window::cas` calls
@@ -163,9 +205,12 @@ impl<F: Fabric> Comm<F> {
         let mut comm = Comm {
             sys,
             cfg,
+            // relaxed: pure id allocator — only uniqueness matters.
+            id: NEXT_COMM_ID.fetch_add(1, Ordering::Relaxed),
             ranks,
-            pairs: HashMap::new(),
-            pending: Vec::new(),
+            pairs: (0..n_ranks * n_ranks).map(|_| None).collect(),
+            in_flight: Vec::new(),
+            next_seq: 0,
             caches,
             pending_forward_handles: Vec::new(),
             copy_scratch: Vec::new(),
@@ -242,23 +287,44 @@ impl<F: Fabric> Comm<F> {
             oc_ring.push_back(addr);
         }
 
-        self.pairs.insert(
-            (s, r),
-            Pair {
-                vi_s,
-                vi_r,
-                r_seg_addr,
-                r_seg_mem,
-                s_seg_addr,
-                s_seg_mem,
-                layout,
-                slot_busy: vec![false; self.cfg.info_slots],
-                next_msg_id: 1,
-                oc_ring,
-                oc_mem,
-            },
-        );
+        let n = self.ranks.len();
+        self.pairs[s * n + r] = Some(Pair {
+            vi_s,
+            vi_r,
+            r_seg_addr,
+            r_seg_mem,
+            s_seg_addr,
+            s_seg_mem,
+            layout,
+            slot_busy: vec![false; self.cfg.info_slots],
+            next_msg_id: 1,
+            oc_ring,
+            oc_mem,
+        });
         Ok(())
+    }
+
+    /// Index of the directed channel `from → to` in the dense table; a
+    /// typed error for a rank out of range (which would alias another
+    /// pair's index).
+    fn pair_index(&self, from: RankId, to: RankId) -> ViaResult<usize> {
+        let n = self.ranks.len();
+        if from >= n || to >= n {
+            return Err(ViaError::BadId("pair"));
+        }
+        Ok(from * n + to)
+    }
+
+    /// The directed channel `from → to` (`from == to` has none).
+    fn pair(&self, from: RankId, to: RankId) -> ViaResult<&Pair> {
+        self.pairs[self.pair_index(from, to)?]
+            .as_ref()
+            .ok_or(ViaError::BadId("pair"))
+    }
+
+    fn pair_mut(&mut self, from: RankId, to: RankId) -> ViaResult<&mut Pair> {
+        let i = self.pair_index(from, to)?;
+        self.pairs[i].as_mut().ok_or(ViaError::BadId("pair"))
     }
 
     /// Number of ranks.
@@ -284,10 +350,7 @@ impl<F: Fabric> Comm<F> {
     /// The sender-side VI of the directed channel `from → to` (one-sided
     /// operations ride the same VI pair the protocols use).
     pub(crate) fn pair_send_vi(&self, from: RankId, to: RankId) -> ViaResult<ViId> {
-        self.pairs
-            .get(&(from, to))
-            .map(|p| p.vi_s)
-            .ok_or(ViaError::BadId("pair"))
+        Ok(self.pair(from, to)?.vi_s)
     }
 
     /// Cache-acquire a registration on behalf of window put/get.
@@ -328,10 +391,19 @@ impl<F: Fabric> Comm<F> {
     pub fn retire_rank(&mut self, r: RankId) -> ViaResult<()> {
         let (node, pid) = (self.ranks[r].node, self.ranks[r].pid);
         self.sys.exit_process(node, pid)?;
-        for slot in &mut self.pending {
-            if slot.as_ref().is_some_and(|p| p.from == r || p.to == r) {
-                *slot = None;
-            }
+        // The casualty's registrations went with its process; its cache
+        // entries must go too, without a second deregistration.
+        self.caches[node].forget_pid(pid);
+        let (abandoned, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.in_flight)
+            .into_iter()
+            .partition(|p| p.from == r || p.to == r);
+        self.in_flight = live;
+        // A survivor's send toward the casualty still holds the survivor's
+        // slot and registration: give both back. Every send is released
+        // even if an earlier one fails; the first failure is reported.
+        let mut released = Ok(());
+        for p in abandoned.iter().filter(|p| p.from != r) {
+            released = released.and(self.release_send(p));
         }
         // Discard messages the dead rank posted but nobody consumed yet:
         // they sit in each *survivor's* segment, but delivering one would
@@ -344,12 +416,18 @@ impl<F: Fabric> Comm<F> {
                 self.clear_info(r, to, slot)?;
             }
         }
-        Ok(())
+        released
     }
 
     /// Per-node registration-cache statistics.
     pub fn cache_stats(&self, node: NodeId) -> vialock::CacheStats {
         self.caches[node].stats()
+    }
+
+    /// Cached registrations on `node` that some send, receive or
+    /// persistent request still holds.
+    pub fn cache_in_use(&self, node: NodeId) -> usize {
+        self.caches[node].in_use()
     }
 
     /// Per-node NIC data-path statistics (TLB hit rates, DMA ops, pool
@@ -475,7 +553,7 @@ impl<F: Fabric> Comm<F> {
     // ------------------------------------------------------------------
 
     fn write_info(&mut self, s: RankId, r: RankId, slot: usize, info: &MsgInfo) -> ViaResult<()> {
-        let pair = &self.pairs[&(s, r)];
+        let pair = self.pair(s, r)?;
         let (r_node, mem, off) = (
             self.ranks[r].node,
             pair.r_seg_mem,
@@ -495,7 +573,7 @@ impl<F: Fabric> Comm<F> {
         slot: usize,
         resp: &Response,
     ) -> ViaResult<()> {
-        let pair = &self.pairs[&(s, r)];
+        let pair = self.pair(s, r)?;
         let (s_node, mem, off) = (
             self.ranks[s].node,
             pair.s_seg_mem,
@@ -510,7 +588,7 @@ impl<F: Fabric> Comm<F> {
 
     /// Sender reads a response record from its own segment memory.
     fn read_response(&mut self, s: RankId, r: RankId, slot: usize) -> ViaResult<Response> {
-        let pair = &self.pairs[&(s, r)];
+        let pair = self.pair(s, r)?;
         let (node, pid) = (self.ranks[s].node, self.ranks[s].pid);
         let addr = pair.s_seg_addr + pair.layout.resp_off(slot) as u64;
         let mut b = [0u8; RESP_SIZE];
@@ -520,7 +598,7 @@ impl<F: Fabric> Comm<F> {
 
     /// Receiver reads an info record from its own segment memory.
     fn read_info(&mut self, s: RankId, r: RankId, slot: usize) -> ViaResult<MsgInfo> {
-        let pair = &self.pairs[&(s, r)];
+        let pair = self.pair(s, r)?;
         let (node, pid) = (self.ranks[r].node, self.ranks[r].pid);
         let addr = pair.r_seg_addr + pair.layout.info_off(slot) as u64;
         let mut b = [0u8; INFO_SIZE];
@@ -530,7 +608,7 @@ impl<F: Fabric> Comm<F> {
 
     /// Receiver clears an info slot in its own memory.
     fn clear_info(&mut self, s: RankId, r: RankId, slot: usize) -> ViaResult<()> {
-        let pair = &self.pairs[&(s, r)];
+        let pair = self.pair(s, r)?;
         let (node, pid) = (self.ranks[r].node, self.ranks[r].pid);
         let addr = pair.r_seg_addr + pair.layout.info_off(slot) as u64;
         self.sys.write_user(node, pid, addr, &[ACTIVE_FREE; 1])?;
@@ -556,75 +634,94 @@ impl<F: Fabric> Comm<F> {
         }
         // Reap finished sends so their slots free up.
         self.progress()?;
-        let slot = {
-            let pair = self
-                .pairs
-                .get_mut(&(from, to))
-                .ok_or(ViaError::BadId("pair"))?;
-            let Some(slot) = pair.slot_busy.iter().position(|b| !b) else {
-                return Err(ViaError::BadState("no free message slot"));
-            };
-            pair.slot_busy[slot] = true;
-            slot
-        };
-        let msg_id = {
-            let pair = self.pairs.get_mut(&(from, to)).expect("pair exists");
-            let id = pair.next_msg_id;
-            pair.next_msg_id += 1;
-            id
+        let Some(slot) = self.pair(from, to)?.slot_busy.iter().position(|b| !b) else {
+            return Err(ViaError::BadState("no free message slot"));
         };
         let proto = self.cfg.protocol_for(len);
         let (s_node, s_pid, s_tag) = {
             let i = &self.ranks[from];
             (i.node, i.pid, i.tag)
         };
-
+        // What the send holds while it is live. One-copy and zero-copy
+        // register early (CHEMPI step 2 on the sender side); if that fails
+        // nothing is held yet.
         let state = match proto {
-            Protocol::SharedMemory => {
+            Protocol::SharedMemory => SendState::AwaitDone {
+                cached_mem: None,
+                chunks: 0,
+            },
+            Protocol::OneCopy => SendState::AwaitDone {
+                cached_mem: Some(self.cached_acquire(s_node, s_pid, addr, len, s_tag)?),
+                chunks: len.div_ceil(self.cfg.chunk_bytes),
+            },
+            Protocol::ZeroCopy => SendState::ZcAwaitBuffer {
+                cached_mem: self.cached_acquire(s_node, s_pid, addr, len, s_tag)?,
+                addr,
+                len,
+            },
+        };
+        let pair = self.pair_mut(from, to)?;
+        pair.slot_busy[slot] = true;
+        let msg_id = pair.next_msg_id;
+        pair.next_msg_id += 1;
+        let p = PendingSend {
+            seq: self.next_seq,
+            from,
+            to,
+            slot,
+            state,
+        };
+        let info = MsgInfo {
+            active: ACTIVE_POSTED,
+            proto: proto as u8,
+            tag,
+            len: len as u32,
+            msg_id,
+        };
+        if let Err(e) = self.launch(&p, &info, addr) {
+            // The send never became live; the launch error is the one to
+            // report, whatever giving its slot and registration back says.
+            let _ = self.release_send(&p);
+            return Err(e);
+        }
+        self.next_seq += 1;
+        self.in_flight.push(p);
+        Ok(SendHandle {
+            comm: self.id,
+            seq: p.seq,
+        })
+    }
+
+    /// Put a new send on the wire: payload and announcement for shared
+    /// memory, announcement and chunk descriptors for one-copy, the
+    /// announcement alone for zero-copy.
+    fn launch(&mut self, p: &PendingSend, info: &MsgInfo, addr: VirtAddr) -> ViaResult<()> {
+        let len = info.len as usize;
+        match p.state {
+            SendState::AwaitDone {
+                cached_mem: None, ..
+            } => {
                 // Payload straight into the receiver's data slot, then the
                 // info struct (order matters: data before announcement).
-                let (r_node, r_mem, data_off) = {
-                    let pair = &self.pairs[&(from, to)];
-                    (
-                        self.ranks[to].node,
-                        pair.r_seg_mem,
-                        pair.layout.data_off(slot),
-                    )
-                };
-                self.sys
-                    .sci_write((s_node, s_pid, addr), len, (r_node, r_mem, data_off))?;
+                let pair = self.pair(p.from, p.to)?;
+                let src = (self.ranks[p.from].node, self.ranks[p.from].pid, addr);
+                let dst = (
+                    self.ranks[p.to].node,
+                    pair.r_seg_mem,
+                    pair.layout.data_off(p.slot),
+                );
+                self.sys.sci_write(src, len, dst)?;
                 self.stats.pio_bytes += len as u64;
                 self.stats.sm_msgs += 1;
-                self.write_info(
-                    from,
-                    to,
-                    slot,
-                    &MsgInfo {
-                        active: ACTIVE_POSTED,
-                        proto: 0,
-                        tag,
-                        len: len as u32,
-                        msg_id,
-                    },
-                )?;
-                SendState::AwaitDone { cached_mem: None }
+                self.write_info(p.from, p.to, p.slot, info)
             }
-            Protocol::OneCopy => {
-                let mem = self.cached_acquire(s_node, s_pid, addr, len, s_tag)?;
-                self.write_info(
-                    from,
-                    to,
-                    slot,
-                    &MsgInfo {
-                        active: ACTIVE_POSTED,
-                        proto: 1,
-                        tag,
-                        len: len as u32,
-                        msg_id,
-                    },
-                )?;
+            SendState::AwaitDone {
+                cached_mem: Some(mem),
+                ..
+            } => {
+                self.write_info(p.from, p.to, p.slot, info)?;
                 // Chunked VIA sends out of the registered user buffer.
-                let vi_s = self.pairs[&(from, to)].vi_s;
+                let (s_node, vi_s) = (self.ranks[p.from].node, self.pair(p.from, p.to)?.vi_s);
                 let mut off = 0usize;
                 while off < len {
                     let chunk = (len - off).min(self.cfg.chunk_bytes);
@@ -636,134 +733,107 @@ impl<F: Fabric> Comm<F> {
                 self.sys.pump()?;
                 self.stats.dma_bytes += len as u64;
                 self.stats.oc_msgs += 1;
-                SendState::AwaitDone {
-                    cached_mem: Some(mem),
-                }
+                Ok(())
             }
-            Protocol::ZeroCopy => {
-                // Register early (CHEMPI step 2 on the sender side), then
-                // announce; the RDMA fires when the rendezvous answer
-                // arrives.
-                let mem = self.cached_acquire(s_node, s_pid, addr, len, s_tag)?;
-                self.write_info(
-                    from,
-                    to,
-                    slot,
-                    &MsgInfo {
-                        active: ACTIVE_POSTED,
-                        proto: 2,
-                        tag,
-                        len: len as u32,
-                        msg_id,
-                    },
-                )?;
+            // The RDMA fires when the rendezvous answer arrives.
+            SendState::ZcAwaitBuffer { .. } | SendState::ZcAwaitDone { .. } => {
+                self.write_info(p.from, p.to, p.slot, info)?;
                 self.stats.zc_msgs += 1;
-                SendState::ZcAwaitBuffer {
-                    cached_mem: mem,
-                    addr,
-                    len,
-                }
+                Ok(())
             }
-        };
-
-        self.pending.push(Some(PendingSend {
-            from,
-            to,
-            slot,
-            state,
-        }));
-        Ok(SendHandle(self.pending.len() - 1))
+        }
     }
 
-    /// Drive every pending send one step (the communicator's progress
-    /// engine — in a threaded MPI this runs on the communication thread).
+    /// Number of live sends (announced, not yet finished or discarded).
+    /// Bounded by `pairs × info_slots`, whatever the traffic history.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// Drive every live send one step, oldest first (the communicator's
+    /// progress engine — in a threaded MPI this runs on the communication
+    /// thread). A send that hits an error is discarded — slot and
+    /// registration given back — and the error ends this round.
     pub fn progress(&mut self) -> ViaResult<()> {
-        for i in 0..self.pending.len() {
-            let Some(p) = self.pending[i].take() else {
-                continue;
-            };
-            let next = self.progress_one(p)?;
-            self.pending[i] = next;
+        let mut i = 0;
+        while i < self.in_flight.len() {
+            let p = self.in_flight[i];
+            self.stats.progress_visits += 1;
+            match self.progress_one(&p) {
+                Ok(Some(state)) => {
+                    self.in_flight[i].state = state;
+                    i += 1;
+                }
+                finished_or_failed => {
+                    self.in_flight.remove(i);
+                    let released = self.release_send(&p);
+                    // The error that discarded the send wins over a
+                    // failure while cleaning up after it.
+                    finished_or_failed?;
+                    released?;
+                }
+            }
         }
         Ok(())
     }
 
-    fn progress_one(&mut self, mut p: PendingSend) -> ViaResult<Option<PendingSend>> {
+    /// One step of one live send: its next state, or `None` once the
+    /// receiver has consumed the message.
+    fn progress_one(&mut self, p: &PendingSend) -> ViaResult<Option<SendState>> {
         let resp = self.read_response(p.from, p.to, p.slot)?;
         match p.state {
-            SendState::AwaitDone { cached_mem } => {
-                if resp.state == RESP_DONE {
-                    self.finish_send(&p, cached_mem)?;
-                    return Ok(None);
-                }
-                p.state = SendState::AwaitDone { cached_mem };
-                Ok(Some(p))
+            SendState::AwaitDone { .. } | SendState::ZcAwaitDone { .. } => {
+                Ok((resp.state != RESP_DONE).then_some(p.state))
             }
             SendState::ZcAwaitBuffer {
                 cached_mem,
                 addr,
                 len,
             } => {
-                if resp.state == RESP_BUF_READY {
-                    let s_node = self.ranks[p.from].node;
-                    let vi_s = self.pairs[&(p.from, p.to)].vi_s;
-                    self.sys.post_rdma_write(
-                        s_node,
-                        vi_s,
-                        cached_mem,
-                        addr,
-                        len,
-                        MemId(resp.mem),
-                        resp.addr,
-                    )?;
-                    self.sys.pump()?;
-                    // Fence: the RDMA-write completion is generated by the
-                    // *receiving* NIC's response packet, so waiting for it
-                    // here guarantees the payload landed before we announce
-                    // ZC_DONE — essential on the threaded fabric, where the
-                    // packet may still be in flight after one pump round.
-                    // Stale Send completions from earlier one-copy chunks on
-                    // the same VI are drained along the way.
-                    loop {
-                        let c = self.sys.wait_cq(s_node, vi_s)?;
-                        if c.op == DescOp::RdmaWrite {
-                            if c.status.is_error() {
-                                return Err(ViaError::BadState(
-                                    "zero-copy RDMA completed in error",
-                                ));
-                            }
-                            break;
-                        }
-                    }
-                    self.stats.dma_bytes += len as u64;
-                    // Tell the receiver the payload landed.
-                    let info = self.read_info_as_sender(p.from, p.to, p.slot)?;
-                    self.write_info(
-                        p.from,
-                        p.to,
-                        p.slot,
-                        &MsgInfo {
-                            active: ACTIVE_ZC_DONE,
-                            ..info
-                        },
-                    )?;
-                    p.state = SendState::ZcAwaitDone { cached_mem };
-                    return Ok(Some(p));
+                if resp.state != RESP_BUF_READY {
+                    return Ok(Some(p.state));
                 }
-                p.state = SendState::ZcAwaitBuffer {
+                let s_node = self.ranks[p.from].node;
+                let vi_s = self.pair(p.from, p.to)?.vi_s;
+                self.sys.post_rdma_write(
+                    s_node,
+                    vi_s,
                     cached_mem,
                     addr,
                     len,
-                };
-                Ok(Some(p))
-            }
-            SendState::ZcAwaitDone { cached_mem } => {
-                if resp.state == RESP_DONE {
-                    self.finish_send(&p, Some(cached_mem))?;
-                    return Ok(None);
+                    MemId(resp.mem),
+                    resp.addr,
+                )?;
+                self.sys.pump()?;
+                // Fence: the RDMA-write completion is generated by the
+                // *receiving* NIC's response packet, so waiting for it
+                // here guarantees the payload landed before we announce
+                // ZC_DONE — essential on the threaded fabric, where the
+                // packet may still be in flight after one pump round.
+                // Send completions of one-copy messages still in flight on
+                // the same VI are drained along the way.
+                loop {
+                    let c = self.sys.wait_cq(s_node, vi_s)?;
+                    if c.op == DescOp::RdmaWrite {
+                        if c.status.is_error() {
+                            return Err(ViaError::BadState("zero-copy RDMA completed in error"));
+                        }
+                        break;
+                    }
                 }
-                p.state = SendState::ZcAwaitDone { cached_mem };
-                Ok(Some(p))
+                self.stats.dma_bytes += len as u64;
+                // Tell the receiver the payload landed.
+                let info = self.read_info_as_sender(p.from, p.to, p.slot)?;
+                self.write_info(
+                    p.from,
+                    p.to,
+                    p.slot,
+                    &MsgInfo {
+                        active: ACTIVE_ZC_DONE,
+                        ..info
+                    },
+                )?;
+                Ok(Some(SendState::ZcAwaitDone { cached_mem }))
             }
         }
     }
@@ -772,7 +842,7 @@ impl<F: Fabric> Comm<F> {
     /// wrote it, so it keeps a local copy; modelled by re-reading through
     /// SCI (cheap enough for the two control words of the rendezvous).
     fn read_info_as_sender(&mut self, s: RankId, r: RankId, slot: usize) -> ViaResult<MsgInfo> {
-        let pair = &self.pairs[&(s, r)];
+        let pair = self.pair(s, r)?;
         let (r_node, mem, off) = (
             self.ranks[r].node,
             pair.r_seg_mem,
@@ -783,29 +853,69 @@ impl<F: Fabric> Comm<F> {
         Ok(MsgInfo::decode(&b))
     }
 
-    fn finish_send(&mut self, p: &PendingSend, cached_mem: Option<MemId>) -> ViaResult<()> {
-        if let Some(mem) = cached_mem {
-            let node = self.ranks[p.from].node;
-            self.cached_release(node, mem)?;
-        }
-        // Clear the response record (sender-local memory) and free the slot.
-        let pair = &self.pairs[&(p.from, p.to)];
+    /// Give back everything a send holds — the completions its one-copy
+    /// chunks left on the sender's CQ, its registration-cache reference,
+    /// its response record and its slot — whether it finished or is being
+    /// discarded. Every step runs even if an earlier one fails; the first
+    /// failure is reported.
+    fn release_send(&mut self, p: &PendingSend) -> ViaResult<()> {
         let (node, pid) = (self.ranks[p.from].node, self.ranks[p.from].pid);
-        let addr = pair.s_seg_addr + pair.layout.resp_off(p.slot) as u64;
-        self.sys.write_user(node, pid, addr, &[RESP_NONE; 1])?;
-        self.pairs
-            .get_mut(&(p.from, p.to))
-            .expect("pair exists")
-            .slot_busy[p.slot] = false;
+        let pair = self.pair_mut(p.from, p.to)?;
+        pair.slot_busy[p.slot] = false;
+        let vi_s = pair.vi_s;
+        let resp_addr = pair.s_seg_addr + pair.layout.resp_off(p.slot) as u64;
+        let reaped = match p.state {
+            SendState::AwaitDone { chunks, .. } => self.reap_chunk_completions(node, vi_s, chunks),
+            _ => Ok(()),
+        };
+        let released = match p.state.cached_mem() {
+            Some(mem) => self.cached_release(node, mem),
+            None => Ok(()),
+        };
+        // The response record is sender-local memory.
+        let cleared = self.sys.write_user(node, pid, resp_addr, &[RESP_NONE; 1]);
+        reaped.and(released).and(cleared)
+    }
+
+    /// Take a one-copy message's `Send` completions off the sender's CQ and
+    /// check their status. Without this a one-way one-copy stream overruns
+    /// the CQ. Fewer than `chunks` may be left — a zero-copy fence or a
+    /// one-sided operation on the same VI drains what it finds — so an
+    /// empty queue ends the reaping early.
+    fn reap_chunk_completions(&mut self, node: NodeId, vi: ViId, chunks: usize) -> ViaResult<()> {
+        let mut failed = false;
+        for _ in 0..chunks {
+            let Some(c) = self.sys.poll_cq(node, vi)? else {
+                break;
+            };
+            failed |= c.status.is_error();
+        }
+        if failed {
+            return Err(ViaError::BadState("one-copy chunk send completed in error"));
+        }
         Ok(())
+    }
+
+    /// Whether `h`'s send is still live. A handle this communicator never
+    /// issued — another communicator's, or a sequence number not reached
+    /// yet — is a typed error.
+    fn is_live(&self, h: SendHandle) -> ViaResult<bool> {
+        if h.comm != self.id || h.seq >= self.next_seq {
+            return Err(ViaError::BadId("send handle"));
+        }
+        Ok(self
+            .in_flight
+            .binary_search_by_key(&h.seq, |p| p.seq)
+            .is_ok())
     }
 
     /// Block until a send completes. Gives up with [`ViaError::Timeout`]
     /// after the spin bound — a dead or non-receiving peer surfaces as a
-    /// typed timeout, never a hang.
+    /// typed timeout, never a hang. A send that is no longer live counts
+    /// as complete, however long ago it left.
     pub fn wait(&mut self, h: SendHandle) -> ViaResult<()> {
         for _ in 0..SPIN_LIMIT {
-            if self.pending[h.0].is_none() {
+            if !self.is_live(h)? {
                 return Ok(());
             }
             self.progress()?;
@@ -816,7 +926,7 @@ impl<F: Fabric> Comm<F> {
     /// True once the send has completed (non-blocking test).
     pub fn test(&mut self, h: SendHandle) -> ViaResult<bool> {
         self.progress()?;
-        Ok(self.pending[h.0].is_none())
+        Ok(!self.is_live(h)?)
     }
 
     // ------------------------------------------------------------------
@@ -1003,21 +1113,54 @@ impl<F: Fabric> Comm<F> {
         at: RankId,
         tag: u32,
     ) -> ViaResult<Option<(usize, MsgInfo)>> {
-        let slots = self.cfg.info_slots;
-        let mut best: Option<(usize, MsgInfo)> = None;
-        for slot in 0..slots {
-            let info = self.read_info(from, at, slot)?;
-            if info.active != ACTIVE_POSTED {
-                continue;
-            }
-            if tag != ANY_TAG && info.tag != tag {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(_, b)| info.msg_id < b.msg_id) {
-                best = Some((slot, info));
+        // The info slots are contiguous in the receiver's own segment: one
+        // read fetches the whole array.
+        let pair = self.pair(from, at)?;
+        let (node, pid) = (self.ranks[at].node, self.ranks[at].pid);
+        let addr = pair.r_seg_addr + pair.layout.info_off(0) as u64;
+        let mut raw = std::mem::take(&mut self.copy_scratch);
+        raw.resize(self.cfg.info_slots * INFO_SIZE, 0);
+        let read = self.sys.read_user(node, pid, addr, &mut raw);
+        let best = raw
+            .chunks_exact(INFO_SIZE)
+            .map(MsgInfo::decode)
+            .enumerate()
+            .filter(|(_, i)| i.active == ACTIVE_POSTED && (tag == ANY_TAG || i.tag == tag))
+            .min_by_key(|(_, i)| i.msg_id);
+        self.copy_scratch = raw;
+        read?;
+        Ok(best)
+    }
+
+    /// Receiver side of the rendezvous: answer with the registered buffer,
+    /// then drive the senders until the RDMA has landed.
+    fn await_zero_copy(
+        &mut self,
+        from: RankId,
+        at: RankId,
+        slot: usize,
+        mem: MemId,
+        buf_addr: VirtAddr,
+    ) -> ViaResult<()> {
+        self.write_response(
+            from,
+            at,
+            slot,
+            &Response {
+                state: RESP_BUF_READY,
+                mem: mem.0,
+                addr: buf_addr,
+            },
+        )?;
+        for _ in 0..SPIN_LIMIT {
+            self.progress()?;
+            if self.read_info(from, at, slot)?.active == ACTIVE_ZC_DONE {
+                return Ok(());
             }
         }
-        Ok(best)
+        // The zero-copy RDMA never arrived — the sender died or stalled
+        // mid-rendezvous.
+        Err(ViaError::Timeout)
     }
 
     fn complete_recv(
@@ -1044,10 +1187,8 @@ impl<F: Fabric> Comm<F> {
             // -------------------------- shared memory -------------------
             0 => {
                 // Copy out of the segment's data slot into the user buffer.
-                let (seg_addr, data_off) = {
-                    let pair = &self.pairs[&(from, at)];
-                    (pair.r_seg_addr, pair.layout.data_off(slot))
-                };
+                let pair = self.pair(from, at)?;
+                let (seg_addr, data_off) = (pair.r_seg_addr, pair.layout.data_off(slot));
                 let mut tmp = std::mem::take(&mut self.copy_scratch);
                 tmp.clear();
                 tmp.resize(len, 0);
@@ -1075,7 +1216,11 @@ impl<F: Fabric> Comm<F> {
             // ----------------------------- one-copy ---------------------
             1 => {
                 let n_chunks = len.div_ceil(self.cfg.chunk_bytes);
-                let vi_r = self.pairs[&(from, at)].vi_r;
+                let (vi_r, oc_mem) = {
+                    let pair = self.pair(from, at)?;
+                    (pair.vi_r, pair.oc_mem)
+                };
+                let chunk_bytes = self.cfg.chunk_bytes;
                 let mut off = 0usize;
                 for _ in 0..n_chunks {
                     // `wait_cq`: on the deterministic fabric this pumps to
@@ -1087,10 +1232,11 @@ impl<F: Fabric> Comm<F> {
                     if c.status.is_error() {
                         return Err(ViaError::BadState("one-copy chunk completed in error"));
                     }
-                    let ring_addr = {
-                        let pair = self.pairs.get_mut(&(from, at)).expect("pair exists");
-                        pair.oc_ring.pop_front().expect("posted ring non-empty")
-                    };
+                    let ring_addr = self
+                        .pair_mut(from, at)?
+                        .oc_ring
+                        .pop_front()
+                        .ok_or(ViaError::BadState("one-copy ring has no posted buffer"))?;
                     // Copy chunk from the pre-registered ring buffer into
                     // the user buffer.
                     let mut tmp = std::mem::take(&mut self.copy_scratch);
@@ -1109,11 +1255,7 @@ impl<F: Fabric> Comm<F> {
                     self.stats.copy_ops += 1;
                     off += c.len;
                     // Repost the buffer.
-                    let (oc_mem, chunk_bytes) = {
-                        let pair = self.pairs.get_mut(&(from, at)).expect("pair exists");
-                        pair.oc_ring.push_back(ring_addr);
-                        (pair.oc_mem, self.cfg.chunk_bytes)
-                    };
+                    self.pair_mut(from, at)?.oc_ring.push_back(ring_addr);
                     self.sys
                         .post_recv(r_node, vi_r, oc_mem, ring_addr, chunk_bytes)?;
                 }
@@ -1138,31 +1280,13 @@ impl<F: Fabric> Comm<F> {
                 // Rendezvous: register the user buffer, answer, and wait
                 // for the sender's RDMA to land.
                 let mem = self.cached_acquire(r_node, r_pid, buf_addr, len, r_tag)?;
-                self.write_response(
-                    from,
-                    at,
-                    slot,
-                    &Response {
-                        state: RESP_BUF_READY,
-                        mem: mem.0,
-                        addr: buf_addr,
-                    },
-                )?;
-                let mut done = false;
-                for _ in 0..SPIN_LIMIT {
-                    self.progress()?;
-                    let i = self.read_info(from, at, slot)?;
-                    if i.active == ACTIVE_ZC_DONE {
-                        done = true;
-                        break;
-                    }
-                }
-                if !done {
-                    // The zero-copy RDMA never arrived — the sender died or
-                    // stalled mid-rendezvous.
-                    return Err(ViaError::Timeout);
-                }
-                self.cached_release(r_node, mem)?;
+                // The registration is given back whether or not the
+                // payload lands: a failed rendezvous must not leave the
+                // receive buffer pinned.
+                let landed = self.await_zero_copy(from, at, slot, mem, buf_addr);
+                let released = self.cached_release(r_node, mem);
+                landed?;
+                released?;
                 self.clear_info(from, at, slot)?;
                 self.write_response(
                     from,
@@ -1404,6 +1528,132 @@ mod tests {
             "only the receiver side re-registers"
         );
         c.request_free(req).unwrap();
+    }
+
+    /// Fire-and-forget SM traffic: the sender never waits, the next
+    /// `send` reaps the previous one.
+    fn fire_and_forget(c: &mut Comm, sbuf: VirtAddr, rbuf: VirtAddr, n: usize) -> SendHandle {
+        let mut last = None;
+        for _ in 0..n {
+            last = Some(c.send(0, 1, 1, sbuf, 32).unwrap());
+            assert_eq!(c.recv(1, 0, 1, rbuf, 64).unwrap(), 32);
+        }
+        last.expect("n > 0")
+    }
+
+    #[test]
+    fn progress_cost_is_bounded_by_sends_in_flight_not_by_history() {
+        let mut c = comm();
+        let sbuf = c.alloc_buffer(0, 64).unwrap();
+        let rbuf = c.alloc_buffer(1, 64).unwrap();
+        fire_and_forget(&mut c, sbuf, rbuf, 100);
+        let early = c.stats.progress_visits;
+        fire_and_forget(&mut c, sbuf, rbuf, 9_800);
+        let before_late = c.stats.progress_visits;
+        fire_and_forget(&mut c, sbuf, rbuf, 100);
+        let late = c.stats.progress_visits - before_late;
+        assert_eq!(c.stats.sm_msgs, 10_000);
+        // One live send at a time: each `send` examines exactly its
+        // predecessor, whether 100 or 10 000 sends came before.
+        assert!(early <= 100, "{early} visits for the first 100 messages");
+        assert!(late <= 100, "{late} visits for the last 100 messages");
+        c.progress().unwrap();
+        assert_eq!(c.in_flight(), 0, "every send was received and reaped");
+        assert_eq!(c.stats.progress_visits, 10_000, "one visit per message");
+    }
+
+    #[test]
+    fn long_completed_handle_answers_without_progress() {
+        let mut c = comm();
+        let sbuf = c.alloc_buffer(0, 64).unwrap();
+        let rbuf = c.alloc_buffer(1, 64).unwrap();
+        let first = fire_and_forget(&mut c, sbuf, rbuf, 1);
+        fire_and_forget(&mut c, sbuf, rbuf, 3_000);
+        c.progress().unwrap();
+        let visits = c.stats.progress_visits;
+        c.wait(first).unwrap();
+        assert!(c.test(first).unwrap());
+        assert_eq!(c.stats.progress_visits, visits, "nothing left to examine");
+    }
+
+    #[test]
+    fn foreign_and_future_handles_are_typed_errors() {
+        let mut a = comm();
+        let mut b = comm();
+        let sbuf = a.alloc_buffer(0, 64).unwrap();
+        let rbuf = a.alloc_buffer(1, 64).unwrap();
+        let from_a = fire_and_forget(&mut a, sbuf, rbuf, 3);
+        // `b` has sent nothing, and even if it had, the handle is not its own.
+        assert!(matches!(b.wait(from_a), Err(ViaError::BadId(_))));
+        assert!(matches!(b.test(from_a), Err(ViaError::BadId(_))));
+        let sbuf = b.alloc_buffer(0, 64).unwrap();
+        let rbuf = b.alloc_buffer(1, 64).unwrap();
+        fire_and_forget(&mut b, sbuf, rbuf, 5);
+        assert!(matches!(b.wait(from_a), Err(ViaError::BadId(_))));
+        // A sequence number `a` has not reached yet.
+        let future = SendHandle {
+            comm: a.id,
+            seq: a.next_seq,
+        };
+        assert!(matches!(a.wait(future), Err(ViaError::BadId(_))));
+        assert!(matches!(a.test(future), Err(ViaError::BadId(_))));
+        a.wait(from_a).unwrap();
+    }
+
+    #[test]
+    fn a_send_that_fails_to_launch_holds_nothing() {
+        let mut c = comm();
+        let len = 3000; // one-copy
+        let sbuf = c.alloc_buffer(0, len).unwrap();
+        c.fill_buffer(0, sbuf, &vec![3u8; len]).unwrap();
+        // The first chunk's Send completion overruns the CQ: `pump` fails
+        // after the registration was acquired and the slot taken.
+        c.system_mut().install_fault_plan(&vialock::fault::handle(
+            vialock::FaultPlan::new(5).fail(vialock::FaultSite::CqOverrun, 1),
+        ));
+        assert!(matches!(
+            c.send(0, 1, 9, sbuf, len),
+            Err(ViaError::CqOverrun)
+        ));
+        assert_eq!(c.in_flight(), 0);
+        assert_eq!(c.cache_in_use(0), 0, "registration given back");
+        // All four slots of the pair are still free.
+        for _ in 0..c.cfg.info_slots {
+            c.send(0, 1, 9, sbuf, 32).unwrap();
+        }
+        assert!(matches!(
+            c.send(0, 1, 9, sbuf, 32),
+            Err(ViaError::BadState("no free message slot"))
+        ));
+    }
+
+    #[test]
+    fn retire_rank_frees_the_survivors_slots_toward_the_casualty() {
+        let mut c = Comm::new(
+            3,
+            3,
+            KernelConfig::medium(),
+            StrategyKind::KiobufReliable,
+            MsgConfig::tiny(),
+        )
+        .unwrap();
+        let b = c.alloc_buffer(0, 64).unwrap();
+        c.send(0, 1, 1, b, 32).unwrap();
+        c.send(0, 1, 1, b, 32).unwrap();
+        let kept = c.send(0, 2, 1, b, 32).unwrap();
+        c.retire_rank(1).unwrap();
+        assert!(c.pair(0, 1).unwrap().slot_busy.iter().all(|busy| !busy));
+        assert_eq!(c.in_flight(), 1, "survivor-to-survivor send untouched");
+        assert!(c.is_live(kept).unwrap());
+    }
+
+    #[test]
+    fn out_of_range_ranks_are_typed_errors() {
+        let mut c = comm();
+        let b = c.alloc_buffer(0, 64).unwrap();
+        assert!(matches!(c.send(0, 0, 1, b, 8), Err(ViaError::BadId(_))));
+        assert!(matches!(c.send(0, 2, 1, b, 8), Err(ViaError::BadId(_))));
+        assert!(matches!(c.send(5, 1, 1, b, 8), Err(ViaError::BadId(_))));
     }
 
     #[test]

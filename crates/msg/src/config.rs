@@ -80,12 +80,13 @@ impl MsgConfig {
     }
 }
 
-/// The three transfer protocols.
+/// The three transfer protocols. The discriminant is the wire encoding
+/// (`MsgInfo::proto`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Protocol {
-    SharedMemory,
-    OneCopy,
-    ZeroCopy,
+    SharedMemory = 0,
+    OneCopy = 1,
+    ZeroCopy = 2,
 }
 
 #[cfg(test)]

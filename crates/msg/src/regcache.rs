@@ -13,7 +13,7 @@
 
 use simmem::{Pid, VirtAddr};
 use via::tpt::{MemId, ProtectionTag};
-use via::{RegPort, ViaResult};
+use via::{RegPort, ViaError, ViaResult};
 use vialock::{CacheReleaseError, CacheStats, CoveringLru, RegError};
 
 /// LRU cache of live NIC registrations for one node.
@@ -39,12 +39,40 @@ impl NodeRegCache {
         len: usize,
         tag: ProtectionTag,
     ) -> ViaResult<MemId> {
-        if let Some(mem) = self.lru.acquire(pid, addr, len) {
-            return Ok(mem);
+        match self.lru.acquire(pid, addr, len) {
+            Some(mem) => Ok(mem),
+            None => self.register_miss(port, pid, addr, len, tag),
         }
+    }
+
+    /// The miss path, kept out of line so the hit path stays small enough
+    /// to inline: register the full page span and admit it. If the NIC's
+    /// table fills before this cache's page budget does, idle entries are
+    /// the room we can make — evict the least recently used ones and try
+    /// once more.
+    fn register_miss<P: RegPort>(
+        &mut self,
+        port: &mut P,
+        pid: Pid,
+        addr: VirtAddr,
+        len: usize,
+        tag: ProtectionTag,
+    ) -> ViaResult<MemId> {
         let page_base = simmem::page_base(addr);
         let span_len = (simmem::page_align_up(addr + len as u64) - page_base) as usize;
-        let mem = port.port_register(pid, page_base, span_len, tag)?;
+        let mem = match port.port_register(pid, page_base, span_len, tag) {
+            Err(ViaError::Reg(RegError::LimitExceeded)) => {
+                let victims = self.lru.evict_pages(span_len / simmem::PAGE_SIZE);
+                if victims.is_empty() {
+                    return Err(ViaError::Reg(RegError::LimitExceeded));
+                }
+                for victim in victims {
+                    port.port_deregister(victim)?;
+                }
+                port.port_register(pid, page_base, span_len, tag)?
+            }
+            r => r?,
+        };
         self.lru.admit(pid, addr, len, mem);
         Ok(mem)
     }
@@ -54,8 +82,8 @@ impl NodeRegCache {
     /// saturation.
     pub fn release<P: RegPort>(&mut self, port: &mut P, mem: MemId) -> ViaResult<()> {
         self.lru.release(mem).map_err(|e| match e {
-            CacheReleaseError::UnknownHandle => via::ViaError::BadId("cached memory"),
-            CacheReleaseError::Underflow => via::ViaError::Reg(RegError::PinUnderflow),
+            CacheReleaseError::UnknownHandle => ViaError::BadId("cached memory"),
+            CacheReleaseError::Underflow => ViaError::Reg(RegError::PinUnderflow),
         })?;
         for victim in self.lru.evict_over_budget() {
             port.port_deregister(victim)?;
@@ -71,8 +99,19 @@ impl NodeRegCache {
         Ok(())
     }
 
+    /// Forget every entry of an exited process without deregistering:
+    /// process exit already reclaimed its registrations.
+    pub fn forget_pid(&mut self, pid: Pid) {
+        self.lru.forget_pid(pid);
+    }
+
     pub fn cached_pages(&self) -> usize {
         self.lru.cached_pages()
+    }
+
+    /// Cached registrations currently held by some user.
+    pub fn in_use(&self) -> usize {
+        self.lru.in_use()
     }
 
     pub fn len(&self) -> usize {
@@ -156,6 +195,32 @@ mod tests {
         }
         assert!(c.cached_pages() <= 4);
         assert!(c.stats().evictions >= 1);
+    }
+
+    #[test]
+    fn full_tpt_evicts_idle_entries_and_retries() {
+        // A 6-page TPT behind a cache whose own budget never binds.
+        let mut n = Node::new(KernelConfig::small(), StrategyKind::KiobufReliable, 6);
+        let pid = n.kernel.spawn_process(simmem::Capabilities::default());
+        let a = n
+            .kernel
+            .mmap_anon(pid, 32 * PAGE_SIZE, prot::READ | prot::WRITE)
+            .unwrap();
+        let mut c = NodeRegCache::new(128);
+        let tag = ProtectionTag(1);
+        let span = |i: usize| a + (i * 4 * PAGE_SIZE) as u64;
+        let m0 = c.acquire(&mut n, pid, span(0), 4 * PAGE_SIZE, tag).unwrap();
+        // While the only entry is in use there is no room to make.
+        assert!(matches!(
+            c.acquire(&mut n, pid, span(1), 4 * PAGE_SIZE, tag),
+            Err(ViaError::Reg(RegError::LimitExceeded))
+        ));
+        c.release(&mut n, m0).unwrap();
+        // Idle now: the refused registration evicts it and goes through.
+        let m1 = c.acquire(&mut n, pid, span(1), 4 * PAGE_SIZE, tag).unwrap();
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!((c.len(), n.nic.tpt.region_count()), (1, 1));
+        c.release(&mut n, m1).unwrap();
     }
 
     #[test]

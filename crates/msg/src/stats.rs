@@ -38,6 +38,10 @@ pub struct MsgStats {
     pub pages_registered: u64,
     /// Registration-cache hits.
     pub cache_hits: u64,
+
+    /// Live sends examined by the progress engine. Per message this is
+    /// bounded by the sends in flight, not by the sends ever made.
+    pub progress_visits: u64,
 }
 
 impl_since!(MsgStats {
@@ -53,6 +57,7 @@ impl_since!(MsgStats {
     registrations,
     pages_registered,
     cache_hits,
+    progress_visits,
 });
 
 impl MsgStats {
