@@ -623,4 +623,63 @@ mod tests {
             .unwrap();
         assert!(orphans.is_empty(), "{orphans:?}");
     }
+
+    /// The benchmark's `dlm_onesided` smoke shape with exact counts. Every
+    /// number below depends on who wins each CAS race, so a change in the
+    /// fabric's delivery order (or in the lock protocol) fails here rather
+    /// than in a benchmark comparison.
+    #[test]
+    fn onesided_golden_counts_on_the_benchmark_smoke_shape() {
+        const CLIENTS_PER_RANK: usize = 64;
+        const STEPS: u64 = 200;
+        const CLIENTS_PER_TICK: usize = 32;
+        let mut c = Comm::new(
+            9,
+            9,
+            KernelConfig::large(),
+            StrategyKind::KiobufReliable,
+            MsgConfig::tiny(),
+        )
+        .unwrap();
+        let ranks: Vec<RankId> = (1..=8).collect();
+        let mut sim =
+            OneSidedSim::new(&mut c, 0, &ranks, CLIENTS_PER_RANK, 64, 0.99, 80, 7).unwrap();
+        for _ in 0..STEPS / 2 {
+            sim.step(&mut c, CLIENTS_PER_TICK).unwrap();
+        }
+        // Midpoint: rank 7 crash-stops, rank 8 exits and is swept.
+        sim.kill_rank_clients(7);
+        sim.kill_rank_clients(8);
+        crate::reclaim::exit_rank_onesided(&mut c, &mut sim.table, 8, 0, |cl| {
+            1 + cl as usize / CLIENTS_PER_RANK
+        })
+        .unwrap();
+        for _ in STEPS / 2..STEPS {
+            sim.step(&mut c, CLIENTS_PER_TICK).unwrap();
+        }
+        let live = sim.live_clients();
+        sim.table
+            .reclaim(&mut c, 0, |cl| !live.contains(&cl))
+            .unwrap();
+        let orphans = sim
+            .table
+            .orphans(&mut c, 0, |cl| live.contains(&cl))
+            .unwrap();
+        assert!(orphans.is_empty(), "{orphans:?}");
+
+        let t = sim.table.stats;
+        let got = (
+            sim.stats.acquire_ticks.len(),
+            sim.stats.deadline_errors,
+            t.cas_attempts,
+            t.steals,
+            t.reclaimed,
+        );
+        assert_eq!(
+            got,
+            (442, 0, 852, 9, 2),
+            "(grants, give-ups, cas_attempts, steals, reclaimed)"
+        );
+        c.system_mut().check_invariants().unwrap();
+    }
 }

@@ -9,8 +9,6 @@
 //! paper's locktest observes ("the first page still contained its original
 //! value").
 
-use std::collections::BTreeMap;
-
 use simmem::{Kernel, Pid, VirtAddr, PAGE_SIZE};
 use vialock::{impl_since, FaultHandle, FaultSite, MemoryRegistry, StrategyKind};
 
@@ -239,8 +237,9 @@ pub enum PacketKind {
 /// The NIC: TPT, VIs and counters.
 pub struct Nic {
     pub tpt: Tpt,
-    vis: BTreeMap<ViId, VirtualInterface>,
-    next_vi: u32,
+    /// Dense VI table indexed by `ViId.0`: ids are handed out sequentially
+    /// and a VI is never removed, so the table order is the id order.
+    vis: Vec<VirtualInterface>,
     pub stats: NicStats,
     /// A/B switch for benchmarking: replay the pre-overhaul data path
     /// (per-page translation, no TLB, fresh `Vec` per message).
@@ -251,8 +250,7 @@ impl Nic {
     pub fn new(tpt_pages: usize) -> Self {
         Nic {
             tpt: Tpt::new(tpt_pages),
-            vis: BTreeMap::new(),
-            next_vi: 0,
+            vis: Vec::new(),
             stats: NicStats::default(),
             legacy_datapath: false,
         }
@@ -260,35 +258,28 @@ impl Nic {
 
     /// `VipCreateVi`: allocate a VI bound to `pid` with protection `tag`.
     pub fn create_vi(&mut self, pid: Pid, tag: ProtectionTag) -> ViId {
-        let id = ViId(self.next_vi);
-        self.next_vi += 1;
-        self.vis.insert(id, VirtualInterface::new(id, pid, tag));
+        let id = ViId(self.vis.len() as u32);
+        self.vis.push(VirtualInterface::new(id, pid, tag));
         id
     }
 
     pub fn vi(&self, id: ViId) -> ViaResult<&VirtualInterface> {
-        self.vis.get(&id).ok_or(ViaError::BadId("vi"))
+        self.vis.get(id.0 as usize).ok_or(ViaError::BadId("vi"))
     }
 
     pub fn vi_mut(&mut self, id: ViId) -> ViaResult<&mut VirtualInterface> {
-        self.vis.get_mut(&id).ok_or(ViaError::BadId("vi"))
+        self.vis.get_mut(id.0 as usize).ok_or(ViaError::BadId("vi"))
     }
 
-    /// Number of VIs.
+    /// Number of VIs. Their ids are exactly `ViId(0) .. ViId(vi_count)`,
+    /// which is how the pumps walk the table in place.
     pub fn vi_count(&self) -> usize {
         self.vis.len()
     }
 
-    /// Iterate VI ids (for the fabric pump).
-    pub fn vi_ids(&self) -> Vec<ViId> {
-        self.vis.keys().copied().collect()
-    }
-
-    /// Refill `out` with the VI ids without allocating a fresh vector
-    /// (the fabric pump calls this every iteration).
-    pub fn vi_ids_into(&self, out: &mut Vec<ViId>) {
-        out.clear();
-        out.extend(self.vis.keys().copied());
+    /// The VI table, in id order.
+    pub(crate) fn vis(&self) -> &[VirtualInterface] {
+        &self.vis
     }
 
     /// Resolve a span into contiguous-frame DMA runs through `vi_id`'s
@@ -303,7 +294,10 @@ impl Nic {
         access: Access,
         out: &mut Vec<DmaRun>,
     ) -> ViaResult<()> {
-        let vi = self.vis.get_mut(&vi_id).ok_or(ViaError::BadId("vi"))?;
+        let vi = self
+            .vis
+            .get_mut(vi_id.0 as usize)
+            .ok_or(ViaError::BadId("vi"))?;
         let hit = self
             .tpt
             .translate_range_tlb(&mut vi.tlb, mem, addr, len, vi.tag, access, out)?;
@@ -423,7 +417,8 @@ impl Node {
         // Break and flush the process' VIs: queued descriptors complete as
         // Dropped (best effort — an already-full CQ loses them), parked
         // reads are abandoned.
-        for vi_id in self.nic.vi_ids() {
+        for i in 0..self.nic.vi_count() {
+            let vi_id = ViId(i as u32);
             let vi = self.nic.vi_mut(vi_id)?;
             if vi.pid != pid {
                 continue;
@@ -849,6 +844,26 @@ impl Node {
         Ok(n)
     }
 
+    /// Complete a malformed send-side descriptor with
+    /// [`DescStatus::FormatError`]: no packet, no memory touched.
+    fn complete_format_error(
+        &mut self,
+        vi_id: ViId,
+        desc: &Descriptor,
+    ) -> ViaResult<Option<Packet>> {
+        self.push_completion(
+            vi_id,
+            Completion {
+                vi: vi_id,
+                op: desc.op,
+                status: DescStatus::FormatError,
+                len: 0,
+                imm: desc.imm,
+            },
+        )?;
+        Ok(None)
+    }
+
     /// Execute one send-side descriptor: gather through the TPT, emit the
     /// packet, complete. RDMA reads park on the pending queue instead.
     fn execute_send_desc(
@@ -865,45 +880,23 @@ impl Node {
             return Err(ViaError::NotConnected);
         }
         let (dst_node, dst_vi) = peer.ok_or(ViaError::NotConnected)?;
-        // Validate the descriptor before touching memory: an RDMA opcode
-        // without an address segment is VIA's "descriptor format error" —
-        // completed in error, nothing transferred, connection intact.
+        // Validate the descriptor before touching memory: a receive opcode
+        // on the send queue, or an RDMA opcode without an address segment,
+        // is VIA's "descriptor format error" — completed in error, nothing
+        // transferred, connection intact.
         let rdma_seg = match desc.op {
+            DescOp::Recv => return self.complete_format_error(vi_id, &desc),
             DescOp::RdmaWrite | DescOp::RdmaRead | DescOp::AtomicCas => match desc.rdma {
                 Some(r) => Some(r),
-                None => {
-                    desc.status = DescStatus::FormatError;
-                    self.push_completion(
-                        vi_id,
-                        Completion {
-                            vi: vi_id,
-                            op: desc.op,
-                            status: DescStatus::FormatError,
-                            len: 0,
-                            imm: desc.imm,
-                        },
-                    )?;
-                    return Ok(None);
-                }
+                None => return self.complete_format_error(vi_id, &desc),
             },
-            _ => None,
+            DescOp::Send => None,
         };
         if desc.op == DescOp::AtomicCas {
             // A CAS needs its operands and an 8-byte local result buffer;
             // anything else is a descriptor format error.
             let (Some((compare, swap)), true) = (desc.cas, desc.total_len() >= 8) else {
-                desc.status = DescStatus::FormatError;
-                self.push_completion(
-                    vi_id,
-                    Completion {
-                        vi: vi_id,
-                        op: desc.op,
-                        status: DescStatus::FormatError,
-                        len: 0,
-                        imm: desc.imm,
-                    },
-                )?;
-                return Ok(None);
+                return self.complete_format_error(vi_id, &desc);
             };
             let r = rdma_seg.ok_or(ViaError::BadState("cas without address segment"))?;
             self.nic.stats.atomic_cas += 1;
@@ -965,12 +958,12 @@ impl Node {
                             remote_addr: r.remote_addr,
                         }
                     }
-                    DescOp::Recv => return Err(ViaError::BadState("recv on send queue")),
-                    // Both ops returned earlier in this function; reaching
+                    // All three returned earlier in this function; reaching
                     // here means the dispatch above changed — fail typed,
                     // never panic on the datapath.
-                    DescOp::RdmaRead | DescOp::AtomicCas => {
-                        return Err(ViaError::BadState("one-sided op reached the gather path"))
+                    DescOp::Recv | DescOp::RdmaRead | DescOp::AtomicCas => {
+                        self.pool.put(payload);
+                        return Err(ViaError::BadState("non-gather op reached the gather path"));
                     }
                 };
                 self.nic.stats.bytes_tx += payload.len() as u64;

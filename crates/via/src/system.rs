@@ -1,9 +1,12 @@
 //! The fabric: a set of [`Node`]s plus packet routing — the "cluster" a
 //! VIA application runs on.
 //!
-//! [`ViaSystem::pump`] drains every NIC's send queues, routes the resulting
-//! packets, and delivers them, looping until the fabric is quiescent. All
-//! methods are node-indexed so one test can hold the entire cluster.
+//! [`ViaSystem::pump`] walks every NIC's dense VI table once, in place,
+//! draining the send queues into the in-flight queue, then delivers in
+//! rounds (a delivery may answer with a response packet, a wire fault may
+//! postpone one) until nothing is in flight. Delivery never posts a send,
+//! so one collection pass per pump finds all the work there is. All methods
+//! are node-indexed so one test can hold the entire cluster.
 
 use simmem::{Capabilities, Kernel, KernelConfig, Pid, VirtAddr};
 use vialock::{FaultSite, StrategyKind};
@@ -28,8 +31,10 @@ pub struct ViaSystem {
     /// Connection manager: listening endpoints keyed by
     /// (node, discriminator) — the VIA connection-establishment address.
     listeners: std::collections::HashMap<(NodeId, u64), ViId>,
-    /// Scratch VI-id list reused by [`ViaSystem::pump`].
-    vi_scratch: Vec<ViId>,
+    /// The delivery round [`ViaSystem::pump`] is working through; empty
+    /// between pumps. Swapped with `in_flight` each round and drained, so
+    /// neither vector gives up its capacity.
+    round: Vec<Packet>,
     /// Scratch staging buffer reused by [`ViaSystem::sci_write`].
     pio_scratch: Vec<u8>,
 }
@@ -45,7 +50,7 @@ impl ViaSystem {
             in_flight: Vec::new(),
             delayed: Vec::new(),
             listeners: std::collections::HashMap::new(),
-            vi_scratch: Vec::new(),
+            round: Vec::new(),
             pio_scratch: Vec::new(),
         }
     }
@@ -520,33 +525,38 @@ impl ViaSystem {
     // The fabric pump
     // ------------------------------------------------------------------
 
-    /// Drain every send queue, route packets, deliver, repeat until
-    /// quiescent. Returns the number of packets delivered. Delivery errors
-    /// (no receive descriptor, protection) are recorded in the NIC stats and
-    /// the VI state; the first one is also returned so tests can assert on
-    /// it.
+    /// Drain every send queue, route the packets, then deliver round by
+    /// round until quiescent. Returns the number of packets delivered.
+    /// Delivery errors (no receive descriptor, protection) are recorded in
+    /// the NIC stats and the VI state; the first one is also returned so
+    /// tests can assert on it.
+    ///
+    /// Order contract: sends are collected node ascending, `ViId` ascending
+    /// within a node, FIFO within a VI, and delivered in that order; the
+    /// responses and delayed packets of one round are delivered in the
+    /// next, in the order they were produced.
     pub fn pump(&mut self) -> ViaResult<usize> {
         let mut delivered = 0usize;
         let mut first_error: Option<ViaError> = None;
-        loop {
-            // Collect packets from every node, batched straight into the
-            // in-flight queue (no per-VI vector).
-            for n in 0..self.nodes.len() {
-                self.nodes[n].nic.vi_ids_into(&mut self.vi_scratch);
-                for i in 0..self.vi_scratch.len() {
-                    let vi = self.vi_scratch[i];
-                    if self.nodes[n].nic.vi(vi)?.sends_pending() == 0 {
-                        continue;
-                    }
-                    self.nodes[n].pump_vi_sends_into(vi, n, &mut self.in_flight)?;
+        // One collection pass: delivery only ever answers with response
+        // packets and `&mut self` keeps the application out, so no send can
+        // be posted before this call returns.
+        for (n, node) in self.nodes.iter_mut().enumerate() {
+            for i in 0..node.nic.vi_count() {
+                let vi = ViId(i as u32);
+                // The idle case stays an index and a length test: no call.
+                if node.nic.vi(vi)?.sends_pending() > 0 {
+                    node.pump_vi_sends_into(vi, n, &mut self.in_flight)?;
                 }
             }
-            if self.in_flight.is_empty() {
-                break;
-            }
+        }
+        while !self.in_flight.is_empty() {
             // Deliver FIFO; deliveries may spawn response packets
-            // (RDMA-read answers) that go back in flight.
-            for pkt in std::mem::take(&mut self.in_flight) {
+            // (RDMA-read answers) that go back in flight for the next
+            // round. The round's queue is swapped out and drained so both
+            // vectors keep their buffers.
+            std::mem::swap(&mut self.in_flight, &mut self.round);
+            for pkt in self.round.drain(..) {
                 let dst = pkt.dst_node;
                 // Wire faults strike at the receiving NIC's ingress.
                 if self.nodes[dst].inject(FaultSite::WireDelay) {
@@ -601,6 +611,12 @@ impl ViaSystem {
             // Delayed packets re-enter the race next round.
             self.in_flight.append(&mut self.delayed);
         }
+        debug_assert!(
+            self.nodes
+                .iter()
+                .all(|node| node.nic.vis().iter().all(|v| v.sends_pending() == 0)),
+            "a send was posted during delivery"
+        );
         match first_error {
             Some(e) => Err(e),
             None => Ok(delivered),

@@ -353,9 +353,6 @@ pub struct NodeCtx {
     /// Fabric commands that arrived while this thread was mid-wait;
     /// served by the service loop in arrival order.
     backlog: VecDeque<Command>,
-    /// Cached VI id list; VIs are only ever created, so a count check
-    /// suffices to detect staleness.
-    vi_ids: Vec<ViId>,
     /// Outgoing packets staged for the next routed flush.
     outbox: Vec<Packet>,
     /// Destinations with deferred (unpublished) ring entries.
@@ -391,7 +388,6 @@ impl NodeCtx {
             controller_gone: false,
             inbound: VecDeque::new(),
             backlog: VecDeque::new(),
-            vi_ids: Vec::new(),
             outbox: Vec::new(),
             touched: vec![false; n],
             // MAX forces the first refill to scan regardless of bell
@@ -527,14 +523,11 @@ impl NodeCtx {
     /// Ship every pending send of every VI, batched per destination,
     /// without touching the inbound queue (beyond loopback traffic).
     fn ship_sends(&mut self) -> ViaResult<usize> {
-        if self.vi_ids.len() != self.node.nic.vi_count() {
-            self.node.nic.vi_ids_into(&mut self.vi_ids);
-        }
         let mut sent = 0usize;
-        for i in 0..self.vi_ids.len() {
+        for i in 0..self.node.nic.vi_count() {
             sent += self
                 .node
-                .pump_vi_sends_into(self.vi_ids[i], self.index, &mut self.outbox)?;
+                .pump_vi_sends_into(ViId(i as u32), self.index, &mut self.outbox)?;
         }
         if self.outbox.is_empty() {
             return Ok(sent);

@@ -19,7 +19,10 @@ fn verdicts_match_the_paper() {
             // stealer dissolves the lazy pins and frees the frames, so no
             // memory is orphaned (unlike refcount-only).
             "on-demand" => {
-                assert!(!o.reliable, "stale-address DMA is outside the on-demand contract");
+                assert!(
+                    !o.reliable,
+                    "stale-address DMA is outside the on-demand contract"
+                );
                 assert_eq!(o.orphaned_frames, 0, "on-demand must fail without orphans");
             }
             other => assert!(o.reliable, "{other} must survive the locktest"),
