@@ -9,7 +9,7 @@
 //!   an allowlisted stats-counter module.
 //! * **R3 `datapath-no-panic`** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in the datapath modules
-//!   (`spsc.rs`, `nic.rs`, `ring.rs`, `shard.rs`) outside `#[cfg(test)]`
+//!   (`spsc.rs`, `nic.rs`, `ring.rs`) outside `#[cfg(test)]`
 //!   regions. A NIC fault must surface as a typed completion error, never a
 //!   process abort.
 //! * **R4 `completion-choke-point`** — in `crates/via/src`, completions are
@@ -32,7 +32,6 @@ const DATAPATH: &[&str] = &[
     "crates/via/src/spsc.rs",
     "crates/via/src/nic.rs",
     "crates/via/src/ring.rs",
-    "crates/core/src/shard.rs",
 ];
 
 const PANIC_PATTERNS: &[&str] = &[

@@ -14,15 +14,12 @@
 //! [`MemoryRegistry`], turning misses into `register` calls and evictions
 //! into `deregister` calls.
 
-use std::sync::Mutex;
-
 use simmem::{Kernel, Pid, VirtAddr};
 
 use crate::error::{RegError, RegResult};
 use crate::lru::{CacheReleaseError, CoveringLru};
 use crate::region::MemHandle;
 use crate::registry::MemoryRegistry;
-use crate::shard::{ShardedRegistry, SharedKernel};
 
 pub use crate::lru::CacheStats;
 
@@ -112,109 +109,6 @@ impl RegistrationCache {
     /// Performance counters.
     pub fn stats(&self) -> CacheStats {
         self.lru.stats()
-    }
-}
-
-/// Thread-safe registration cache in front of a [`ShardedRegistry`]: the
-/// concurrent path's counterpart to [`RegistrationCache`].
-///
-/// The [`CoveringLru`] sits behind one mutex, but that mutex is only held
-/// for the O(log n) map operations — never across a registration or
-/// deregistration, so a thread faulting pages in on a miss does not stall
-/// every other thread's cache hits. Two threads missing on the same span
-/// may both register; the loser detects the covering entry on re-check,
-/// deregisters its own registration and joins the winner's.
-pub struct SharedRegistrationCache {
-    lru: Mutex<CoveringLru<MemHandle>>,
-}
-
-impl SharedRegistrationCache {
-    /// Cache with a page budget, as [`RegistrationCache::new`].
-    pub fn new(capacity_pages: usize) -> Self {
-        SharedRegistrationCache {
-            lru: Mutex::new(CoveringLru::new(capacity_pages)),
-        }
-    }
-
-    fn lru(&self) -> std::sync::MutexGuard<'_, CoveringLru<MemHandle>> {
-        self.lru.lock().expect("registration cache poisoned")
-    }
-
-    /// Acquire a registration for `[addr, addr+len)`: cached span (exact or
-    /// covering) or a fresh registration through the sharded registry. Pair
-    /// every acquire with [`SharedRegistrationCache::release`].
-    pub fn acquire(
-        &self,
-        kernel: &SharedKernel,
-        registry: &ShardedRegistry,
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-    ) -> RegResult<MemHandle> {
-        if let Some(handle) = self.lru().acquire(pid, addr, len) {
-            return Ok(handle);
-        }
-        // Miss: register the full page span outside the cache lock.
-        let page_base = simmem::page_base(addr);
-        let span_len = crate::strategy::npages(addr, len) * simmem::PAGE_SIZE;
-        let handle = registry.register(kernel, pid, page_base, span_len)?;
-        let mut lru = self.lru();
-        if let Some(winner) = lru.acquire(pid, addr, len) {
-            // A concurrent miss admitted a covering span first; fold into
-            // it and drop our duplicate registration.
-            drop(lru);
-            registry.deregister(kernel, handle)?;
-            return Ok(winner);
-        }
-        lru.admit(pid, addr, len, handle);
-        Ok(handle)
-    }
-
-    /// Release a prior acquisition; idle entries beyond the page budget are
-    /// evicted LRU-first (deregistered outside the cache lock).
-    pub fn release(
-        &self,
-        kernel: &SharedKernel,
-        registry: &ShardedRegistry,
-        handle: MemHandle,
-    ) -> RegResult<()> {
-        let victims = {
-            let mut lru = self.lru();
-            lru.release(handle).map_err(release_err)?;
-            lru.evict_over_budget()
-        };
-        for victim in victims {
-            registry.deregister(kernel, victim)?;
-        }
-        Ok(())
-    }
-
-    /// Drop every unused cached registration.
-    pub fn flush(&self, kernel: &SharedKernel, registry: &ShardedRegistry) -> RegResult<()> {
-        let victims = self.lru().drain_idle();
-        for victim in victims {
-            registry.deregister(kernel, victim)?;
-        }
-        Ok(())
-    }
-
-    /// Total pages held by cached registrations (used + unused).
-    pub fn cached_pages(&self) -> usize {
-        self.lru().cached_pages()
-    }
-
-    /// Number of cached registrations.
-    pub fn len(&self) -> usize {
-        self.lru().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lru().is_empty()
-    }
-
-    /// Performance counters.
-    pub fn stats(&self) -> CacheStats {
-        self.lru().stats()
     }
 }
 
@@ -350,42 +244,6 @@ mod tests {
         };
         assert!((s.hit_ratio() - 0.75).abs() < 1e-9);
         assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn shared_cache_hits_and_evicts_like_the_seed() {
-        use std::sync::RwLock;
-        let mut k = Kernel::new(KernelConfig::small());
-        let pid = k.spawn_process(Capabilities::default());
-        let a = k
-            .mmap_anon(pid, 32 * PAGE_SIZE, prot::READ | prot::WRITE)
-            .unwrap();
-        let nframes = k.meminfo().total_frames;
-        let kernel = RwLock::new(k);
-        let reg = crate::ShardedRegistry::new(StrategyKind::KiobufReliable, nframes);
-        let cache = SharedRegistrationCache::new(8);
-
-        let h1 = cache.acquire(&kernel, &reg, pid, a, 4 * PAGE_SIZE).unwrap();
-        cache.release(&kernel, &reg, h1).unwrap();
-        let h2 = cache.acquire(&kernel, &reg, pid, a, 4 * PAGE_SIZE).unwrap();
-        assert_eq!(h1, h2, "second acquire hits");
-        assert_eq!(reg.snapshot().registrations, 1);
-        cache.release(&kernel, &reg, h2).unwrap();
-
-        // Busting the 8-page budget evicts the idle entry.
-        let h3 = cache
-            .acquire(&kernel, &reg, pid, a + 16 * PAGE_SIZE as u64, 8 * PAGE_SIZE)
-            .unwrap();
-        cache.release(&kernel, &reg, h3).unwrap();
-        assert!(cache.cached_pages() <= 8);
-        assert_eq!(cache.stats().evictions, 1);
-        cache.flush(&kernel, &reg).unwrap();
-        assert!(cache.is_empty());
-        assert_eq!(reg.live_regions(), 0);
-        assert_eq!(
-            cache.release(&kernel, &reg, h3),
-            Err(RegError::NoSuchHandle)
-        );
     }
 
     #[test]

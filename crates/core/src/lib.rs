@@ -56,10 +56,8 @@ pub mod fault;
 pub mod interval;
 pub mod lru;
 pub mod pin;
-pub mod rangelock;
 pub mod region;
 pub mod registry;
-pub mod shard;
 mod span;
 pub mod strategy;
 
@@ -67,14 +65,12 @@ pub mod strategy;
 // `NicStats`, `MsgStats`, fabric counters) derives its `since()` from this.
 pub use simmem::impl_since;
 
-pub use cache::{CacheStats, RegistrationCache, SharedRegistrationCache};
+pub use cache::{CacheStats, RegistrationCache};
 pub use error::{RegError, RegResult};
 pub use fault::{FaultHandle, FaultPlan, FaultRule, FaultSite};
 pub use interval::IntervalCounter;
 pub use lru::{CacheReleaseError, CoveringLru};
 pub use pin::PinTable;
-pub use rangelock::{RangeGuard, RangeLock, RangeLockTable};
 pub use region::{MemHandle, Region, RegionTable};
 pub use registry::{MemoryRegistry, RegistryStats};
-pub use shard::{ShardedRegistry, SharedKernel, SharedPinTable};
 pub use strategy::{PinToken, StrategyKind};

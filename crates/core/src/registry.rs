@@ -19,9 +19,8 @@ use crate::region::{MemHandle, Region, RegionTable};
 use crate::strategy::{pin_region, unpin_region, PinToken, StrategyKind};
 
 /// Registration statistics, reported by the experiment harness. Read them
-/// through [`MemoryRegistry::snapshot`] (or `ShardedRegistry::snapshot`,
-/// which aggregates per-shard blocks with [`RegistryStats::merge`]) rather
-/// than raw fields, so concurrent readers always see a coherent block.
+/// through [`MemoryRegistry::snapshot`], or `snapshot_with` to join the
+/// kernel's fault counters into the same block.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryStats {
     pub registrations: u64,
@@ -53,26 +52,6 @@ pub struct RegistryStats {
     pub pressure_unpins: u64,
     /// Lazy pins dissolved because a COW break moved the mapping.
     pub cow_invalidations: u64,
-}
-
-impl RegistryStats {
-    /// Accumulate `other` into `self` — the per-shard aggregation step.
-    pub fn merge(&mut self, other: &RegistryStats) {
-        self.registrations += other.registrations;
-        self.deregistrations += other.deregistrations;
-        self.pages_pinned += other.pages_pinned;
-        self.pages_unpinned += other.pages_unpinned;
-        self.blocked += other.blocked;
-        self.pin_retries += other.pin_retries;
-        self.backoff_ticks += other.backoff_ticks;
-        self.fallbacks += other.fallbacks;
-        self.minor_faults += other.minor_faults;
-        self.major_faults += other.major_faults;
-        self.protection_faults += other.protection_faults;
-        self.repins += other.repins;
-        self.pressure_unpins += other.pressure_unpins;
-        self.cow_invalidations += other.cow_invalidations;
-    }
 }
 
 /// The kernel agent's registration front-end.
@@ -197,6 +176,12 @@ impl MemoryRegistry {
         addr: VirtAddr,
         len: usize,
     ) -> RegResult<MemHandle> {
+        // `addr` and `len` come straight from the user's `VipRegisterMem`
+        // call, and everything below (`npages`, `pin_region`, `page_span`)
+        // adds them unchecked: the page-aligned end must fit in a `u64`.
+        addr.checked_add(len as u64)
+            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
+            .ok_or(RegError::InvalidArgument("region wraps the address space"))?;
         let npages = crate::strategy::npages(addr, len);
         if let Some(max) = self.max_pages {
             if self.regions.total_pages() + npages > max {

@@ -4,7 +4,6 @@
 //! against.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use crate::error::MmResult;
 use crate::kiobuf::Kiobuf;
@@ -134,9 +133,8 @@ pub struct Kernel {
     pub(crate) bigphys: Option<crate::bigphys::BigphysArea>,
     /// Pluggable deterministic fault injector (see [`crate::inject`]). The
     /// kernel consults it at named sites by code; `None` (the default) makes
-    /// every site a single branch on a cold `Option`. The mutex lets the
-    /// concurrent registration path consult it through `&Kernel`.
-    pub(crate) injector: Option<Mutex<Injector>>,
+    /// every site a single branch on a cold `Option`.
+    pub(crate) injector: Option<Injector>,
     /// On-demand lazy-pin ledger: frame → number of lazy pins currently
     /// held (see [`Kernel::lazy_pin_page`]). Frames in this map carry
     /// `PG_locked` + `PG_ondemand`.
@@ -337,27 +335,17 @@ impl Kernel {
     /// hook with their own site codes (`inject::UPPER_BASE` and up), so one
     /// seeded plan can drive the whole stack.
     pub fn set_injector(&mut self, injector: Option<Injector>) {
-        self.injector = injector.map(Mutex::new);
+        self.injector = injector;
     }
 
     /// Consult the injector for `site`. `false` when no injector is
     /// installed — the disabled cost is one branch.
     #[inline]
     pub fn inject(&mut self, site: u32) -> bool {
-        self.inject_shared(site)
-    }
-
-    /// [`Kernel::inject`] through a shared borrow, for the concurrent
-    /// registration path (multiple threads pinning under `&Kernel`). The
-    /// injector closure runs under its own mutex; with no injector the cost
-    /// stays one branch.
-    #[inline]
-    pub fn inject_shared(&self, site: u32) -> bool {
-        match self.injector.as_ref() {
+        match self.injector.as_mut() {
             None => false,
-            Some(m) => {
-                let mut f = m.lock().expect("fault injector poisoned");
-                let fire = (*f)(site);
+            Some(f) => {
+                let fire = f(site);
                 if fire {
                     self.stats.faults_injected.bump();
                 }
@@ -410,30 +398,6 @@ impl Kernel {
             }
             d.rmap = None;
             d.reset_flags();
-            self.free_list.push(frame);
-        }
-    }
-
-    /// Return a frame whose shared-path reference count reached zero to the
-    /// free list (see [`Kernel::put_page_shared`]). The concurrent pin path
-    /// cannot touch the free list itself — that needs the exclusive borrow —
-    /// so it collects such frames and reaps them here afterwards. Reaping is
-    /// idempotent: a frame that was re-referenced in the meantime, is
-    /// reserved, or already sits on the free list is left alone.
-    pub fn reap_frame(&mut self, frame: FrameId) {
-        {
-            let d = self.pagemap.get_mut(frame);
-            if !d.is_free() || d.flags().contains(PageFlags::RESERVED) {
-                return;
-            }
-            if let Some(slot) = d.swap_slot.take() {
-                self.swap_cache.remove(&slot);
-            }
-        }
-        let d = self.pagemap.get_mut(frame);
-        d.rmap = None;
-        d.reset_flags();
-        if !self.free_list.contains(&frame) {
             self.free_list.push(frame);
         }
     }
@@ -765,63 +729,6 @@ impl Kernel {
     /// whether it was (the Giganet-style strategy may have clobbered it).
     pub fn end_page_io(&self, frame: FrameId) -> bool {
         self.pagemap.get(frame).clear_flag(PageFlags::LOCKED)
-    }
-
-    // ------------------------------------------------------------------
-    // Concurrent ("shared-borrow") pin entry points
-    //
-    // The sharded registration path runs many registering threads under a
-    // read-locked kernel. Everything it needs on the fast path — PTE walks,
-    // page references, `PG_locked` — is readable or atomic through `&self`,
-    // so resident pages pin without the exclusive borrow. Anything that
-    // mutates page tables (fault-in, COW, mlock) still takes `&mut self`.
-    // ------------------------------------------------------------------
-
-    /// The concurrent pin path's residency probe: `Some(frame)` iff the
-    /// page containing `addr` is present with a **writable** PTE — i.e.
-    /// `get_user_page` would return this frame without faulting or breaking
-    /// COW. `None` sends the caller to the exclusive-borrow slow path.
-    pub fn resident_writable_frame(&self, pid: Pid, addr: VirtAddr) -> MmResult<Option<FrameId>> {
-        let proc = self.process(pid)?;
-        let vma = proc
-            .mm
-            .vmas
-            .find(addr)
-            .ok_or(MmError::SegFault { pid, addr })?;
-        if !vma.flags.write {
-            return Ok(None);
-        }
-        Ok(match proc.mm.pte(AddressSpace::vpn(addr)) {
-            Some(Pte::Present {
-                frame,
-                writable: true,
-                ..
-            }) => Some(*frame),
-            _ => None,
-        })
-    }
-
-    /// Take a page reference through a shared borrow (atomic `get_page`).
-    pub fn get_page_shared(&self, frame: FrameId) {
-        self.pagemap.get_page(frame);
-    }
-
-    /// Drop a shared-path page reference. Returns `true` when the count hit
-    /// zero — the frame is then free but **not yet on the free list**; the
-    /// caller must hand it to [`Kernel::reap_frame`] once it can take the
-    /// exclusive borrow.
-    pub fn put_page_shared(&self, frame: FrameId) -> MmResult<bool> {
-        self.pagemap.put_page(frame)
-    }
-
-    /// Atomically try to take `PG_locked`; `true` iff this call acquired it.
-    pub fn try_lock_page(&self, frame: FrameId) -> bool {
-        self.pagemap.get(frame).try_lock()
-    }
-
-    /// Release `PG_locked` taken by [`Kernel::try_lock_page`].
-    pub fn unlock_page(&self, frame: FrameId) {
-        self.pagemap.get(frame).clear_flag(PageFlags::LOCKED);
     }
 
     // ------------------------------------------------------------------

@@ -7,12 +7,12 @@
 //! an elevated reference count alone does **not** keep a page mapped — the
 //! page is written to swap, unmapped and orphaned (section 3.1 of the paper).
 //!
-//! Count and flags live in per-frame **atomics** so that the sharded
-//! registration path can grab/drop references and take `PG_locked` from
-//! several threads under a shared (`&Kernel`) borrow — the same shift Linux
-//! itself made when `page->count` became `atomic_t`. `rmap` and `swap_slot`
-//! stay plain fields: they are only touched on the exclusive (`&mut Kernel`)
-//! fault/reclaim paths.
+//! Count and flags live in per-frame **atomics**, so references and
+//! `PG_locked` can be taken through a shared (`&Kernel`) borrow — the same
+//! shift Linux itself made when `page->count` became `atomic_t`. No fabric
+//! shares a kernel between threads (DESIGN.md §13), so today that only buys
+//! `&self` accessors. `rmap` and `swap_slot` stay plain fields: they are
+//! only touched on the exclusive (`&mut Kernel`) fault/reclaim paths.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
@@ -146,8 +146,7 @@ impl PageDescriptor {
     }
 
     /// Atomically try to take `PG_locked`; `true` if this call acquired it
-    /// (it was clear before). The concurrent pin path uses this instead of a
-    /// separate test-then-set.
+    /// (it was clear before) — one step instead of a separate test-then-set.
     #[inline]
     pub fn try_lock(&self) -> bool {
         self.flags.fetch_or(PageFlags::LOCKED, Ordering::AcqRel) & PageFlags::LOCKED == 0

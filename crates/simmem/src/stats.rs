@@ -1,10 +1,9 @@
 //! Counters exposed by the simulated kernel — the experiment harness reads
 //! these to report what the VM actually did under pressure.
 //!
-//! The kernel's live counters ([`MmCounters`]) are per-field atomics so the
-//! shared-kernel concurrent registration path can bump them through `&Kernel`
-//! without a stats lock; readers take a coherent [`MmStats`] value via
-//! [`MmCounters::snapshot`].
+//! The kernel's live counters ([`MmCounters`]) are per-field atomics, so
+//! `&Kernel` paths can bump them; readers take a coherent [`MmStats`] value
+//! via [`MmCounters::snapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

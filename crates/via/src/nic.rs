@@ -528,13 +528,33 @@ impl Node {
         }
     }
 
-    /// [`Nic::translate_range`] with the on-demand fault loop: a
-    /// [`ViaError::NotResident`] translation traps to the kernel agent,
-    /// which pins the page, installs the frame and retries. Each retry
-    /// makes one page resident, so the loop is bounded by the span's page
-    /// count (doubled: a pin may itself trigger reclaim that steals an
-    /// earlier page of the span); exhaustion degrades typed rather than
-    /// spinning.
+    /// The on-demand fault loop around one translation of `len` bytes of
+    /// `mem`: a [`ViaError::NotResident`] result traps to the kernel agent,
+    /// which pins the page, installs the frame and retries `translate`.
+    /// Each retry makes one page resident, so the loop is bounded by the
+    /// span's page count (doubled: a pin may itself trigger reclaim that
+    /// steals an earlier page of the span); exhaustion degrades typed
+    /// rather than spinning.
+    fn translate_faulting(
+        &mut self,
+        mem: MemId,
+        len: usize,
+        out: &mut Vec<DmaRun>,
+        mut translate: impl FnMut(&mut Nic, &mut Vec<DmaRun>) -> ViaResult<()>,
+    ) -> ViaResult<()> {
+        let budget = 2 * (len / PAGE_SIZE + 2);
+        for _ in 0..budget {
+            self.sync_lazy_invalidations();
+            out.clear();
+            match translate(&mut self.nic, out) {
+                Err(ViaError::NotResident { page }) => self.repin_page(mem, page)?,
+                r => return r,
+            }
+        }
+        Err(ViaError::Repin(vialock::RegError::WouldBlock))
+    }
+
+    /// [`Nic::translate_range`] under [`Node::translate_faulting`].
     fn translate_range_faulting(
         &mut self,
         vi_id: ViId,
@@ -544,16 +564,9 @@ impl Node {
         access: Access,
         out: &mut Vec<DmaRun>,
     ) -> ViaResult<()> {
-        let budget = 2 * (len / PAGE_SIZE + 2);
-        for _ in 0..budget {
-            self.sync_lazy_invalidations();
-            out.clear();
-            match self.nic.translate_range(vi_id, mem, addr, len, access, out) {
-                Err(ViaError::NotResident { page }) => self.repin_page(mem, page)?,
-                r => return r,
-            }
-        }
-        Err(ViaError::Repin(vialock::RegError::WouldBlock))
+        self.translate_faulting(mem, len, out, |nic, out| {
+            nic.translate_range(vi_id, mem, addr, len, access, out)
+        })
     }
 
     /// Raw-TPT counterpart of [`Node::translate_range_faulting`] for paths
@@ -567,20 +580,9 @@ impl Node {
         access: Access,
         out: &mut Vec<DmaRun>,
     ) -> ViaResult<()> {
-        let budget = 2 * (len / PAGE_SIZE + 2);
-        for _ in 0..budget {
-            self.sync_lazy_invalidations();
-            out.clear();
-            match self
-                .nic
-                .tpt
-                .translate_range(mem, addr, len, tag, access, out)
-            {
-                Err(ViaError::NotResident { page }) => self.repin_page(mem, page)?,
-                r => return r,
-            }
-        }
-        Err(ViaError::Repin(vialock::RegError::WouldBlock))
+        self.translate_faulting(mem, len, out, |nic, out| {
+            nic.tpt.translate_range(mem, addr, len, tag, access, out)
+        })
     }
 
     /// Gather the bytes of a send/RDMA descriptor out of physical memory

@@ -11,15 +11,7 @@
 //! * registration-cache acquire cost for exact hits, covering hits and
 //!   misses (the O(1)-release / O(log n)-eviction LRU).
 //!
-//! Schema 2 adds the **contention sweep** over the sharded concurrent
-//! registration path: 1→64 registering threads over disjoint (per-process
-//! buffers) and overlapping (one process, interleaved windows) range mixes,
-//! reported as registrations/second per thread count. The
-//! `REGPATH_ASSERT_SCALING=1` gate asserts disjoint-range scaling at 16
-//! threads against `REGPATH_SCALING_MIN` (default derived from the host's
-//! core count — a single-core runner cannot exhibit parallel speedup).
-//!
-//! Schema 3 adds the **eager-vs-on-demand A/B sweep** over the full VIA
+//! It also runs the **eager-vs-on-demand A/B sweep** over the full VIA
 //! fabric: steady-state send/receive throughput once the lazily pinned
 //! pages are resident (`REGPATH_ASSERT_ONDEMAND=1` gates the on-demand
 //! path to within `REGPATH_ONDEMAND_MAX`× of eager kiobuf), and a
@@ -31,25 +23,15 @@
 //! are exact. Run with `cargo run --release --bin regpath_bench`.
 
 use std::fmt::Write as _;
-use std::sync::{Barrier, RwLock};
 use std::time::Instant;
 
 use simmem::{prot, Capabilities, Kernel, KernelConfig, Pid, PAGE_SIZE};
 use via::system::ViaSystem;
 use via::tpt::ProtectionTag;
-use vialock::{MemoryRegistry, RegistrationCache, ShardedRegistry, StrategyKind};
+use vialock::{MemoryRegistry, RegistrationCache, StrategyKind};
 use workload::apply_pressure;
 
 const REPS: usize = 7;
-/// Contention sweep: fewer reps (each rep spawns a thread fleet).
-const CONTENTION_REPS: usize = 3;
-/// Thread counts swept by the contention benchmark.
-const THREAD_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-/// Register/deregister pairs per thread per rep.
-const CONTENTION_OPS: usize = 256;
-/// Windows per thread (region slots cycled over) and pages per region.
-const WINDOWS: usize = 32;
-const REGION_PAGES: usize = 4;
 
 fn kernel() -> (Kernel, Pid) {
     let mut k = Kernel::new(KernelConfig {
@@ -230,82 +212,6 @@ fn bench_cache() -> (f64, f64, f64) {
     (exact_ns, covering_ns, miss_ns)
 }
 
-/// One contention measurement: `threads` workers register/deregister
-/// through a shared [`ShardedRegistry`] and read-write-locked kernel.
-/// Returns registrations per second (register+deregister counted as one op).
-///
-/// `overlap == false`: every thread owns its own process and buffer —
-/// different shards, different range locks, resident fast path; the
-/// disjoint-parallel case the sharding exists for. `overlap == true`: all
-/// threads share one process and their windows interleave page-shifted, so
-/// every operation contends on the pid's range lock and shard.
-fn bench_contention(threads: usize, overlap: bool) -> f64 {
-    let mut k = Kernel::new(KernelConfig {
-        nframes: 1 << 16,
-        reserved_frames: 128,
-        swap_slots: 1 << 17,
-        default_rlimit_memlock: None,
-        swap_cache: false,
-    });
-    let span = WINDOWS * REGION_PAGES * PAGE_SIZE;
-    let mut lanes: Vec<(Pid, u64)> = Vec::with_capacity(threads);
-    if overlap {
-        let pid = k.spawn_process(Capabilities::default());
-        let buf = k
-            .mmap_anon(pid, span + threads * PAGE_SIZE, prot::READ | prot::WRITE)
-            .unwrap();
-        k.touch_pages(pid, buf, span + threads * PAGE_SIZE, true)
-            .unwrap();
-        // Page-shifted lanes over one buffer: window i of thread t overlaps
-        // window i of threads t±1.
-        for t in 0..threads {
-            lanes.push((pid, buf + (t * PAGE_SIZE) as u64));
-        }
-    } else {
-        for _ in 0..threads {
-            let pid = k.spawn_process(Capabilities::default());
-            let buf = k.mmap_anon(pid, span, prot::READ | prot::WRITE).unwrap();
-            k.touch_pages(pid, buf, span, true).unwrap();
-            lanes.push((pid, buf));
-        }
-    }
-    let nframes = k.meminfo().total_frames;
-    let reg = ShardedRegistry::new(StrategyKind::KiobufReliable, nframes);
-    let kernel = RwLock::new(k);
-
-    let mut samples: Vec<f64> = (0..CONTENTION_REPS)
-        .map(|_| {
-            let start = Barrier::new(threads + 1);
-            let done = Barrier::new(threads + 1);
-            std::thread::scope(|s| {
-                for &(pid, buf) in &lanes {
-                    let (reg, kernel, start, done) = (&reg, &kernel, &start, &done);
-                    s.spawn(move || {
-                        start.wait();
-                        for i in 0..CONTENTION_OPS {
-                            let a = buf + ((i % WINDOWS) * REGION_PAGES * PAGE_SIZE) as u64;
-                            let h = reg
-                                .register(kernel, pid, a, REGION_PAGES * PAGE_SIZE)
-                                .expect("bench registration");
-                            reg.deregister(kernel, h).expect("bench deregistration");
-                        }
-                        done.wait();
-                    });
-                }
-                start.wait();
-                let t = Instant::now();
-                done.wait();
-                let secs = t.elapsed().as_secs_f64();
-                (threads * CONTENTION_OPS) as f64 / secs
-            })
-        })
-        .collect();
-    assert_eq!(reg.live_regions(), 0, "bench left live regions");
-    assert_eq!(reg.pinned_frames(), 0, "bench left pinned frames");
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
 /// Pages per transfer in the eager-vs-on-demand A/B sweep.
 const AB_PAGES: usize = 8;
 /// Transfers per timed batch in the steady-state A/B measurement.
@@ -432,22 +338,9 @@ fn bench_ab_pressure(strategy: StrategyKind) -> AbPressure {
     }
 }
 
-/// Default floor for the 16-thread disjoint scaling gate: ≥ 8× on hosts
-/// with ≥ 16 cores (the acceptance target), proportionally less on smaller
-/// hosts, and a don't-regress-below-serial floor on single-core runners
-/// where no parallel speedup is physically possible.
-fn default_scaling_floor(host_threads: usize) -> f64 {
-    if host_threads >= 16 {
-        8.0
-    } else {
-        ((host_threads as f64) / 2.0).clamp(0.75, 8.0)
-    }
-}
-
 fn main() {
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from(
-        "{\n  \"bench\": \"regpath\",\n  \"schema\": 3,\n  \"unit\": \"ns_per_op\",\n",
+        "{\n  \"bench\": \"regpath\",\n  \"schema\": 4,\n  \"unit\": \"ns_per_op\",\n",
     );
 
     json.push_str("  \"register\": {\n");
@@ -505,50 +398,6 @@ fn main() {
         "  \"cache_acquire\": {{\"exact_hit\": {exact:.0}, \"covering_hit\": {covering:.0}, \"miss\": {miss:.0}}},"
     )
     .unwrap();
-
-    // Contention sweep over the sharded concurrent path (ops/sec, where one
-    // op is a register+deregister pair).
-    json.push_str("  \"contention\": {\n");
-    writeln!(json, "    \"host_threads\": {host_threads},").unwrap();
-    writeln!(json, "    \"ops_per_thread\": {CONTENTION_OPS},").unwrap();
-    write!(json, "    \"thread_counts\": [").unwrap();
-    for (i, t) in THREAD_COUNTS.iter().enumerate() {
-        write!(json, "{}{}", if i == 0 { "" } else { ", " }, t).unwrap();
-    }
-    json.push_str("],\n");
-    let mut disjoint = Vec::new();
-    let mut overlapping = Vec::new();
-    for &t in &THREAD_COUNTS {
-        let d = bench_contention(t, false);
-        let o = bench_contention(t, true);
-        eprintln!(
-            "contention {t:>2} threads: disjoint {d:>10.0} ops/s, overlapping {o:>10.0} ops/s"
-        );
-        disjoint.push(d);
-        overlapping.push(o);
-    }
-    for (key, vals) in [
-        ("disjoint_ops_per_sec", &disjoint),
-        ("overlapping_ops_per_sec", &overlapping),
-    ] {
-        write!(json, "    \"{key}\": {{").unwrap();
-        for (i, (&t, v)) in THREAD_COUNTS.iter().zip(vals.iter()).enumerate() {
-            write!(
-                json,
-                "{}\"{}\": {:.0}",
-                if i == 0 { "" } else { ", " },
-                t,
-                v
-            )
-            .unwrap();
-        }
-        json.push_str(if key.starts_with("disjoint") {
-            "},\n"
-        } else {
-            "}\n"
-        });
-    }
-    json.push_str("  },\n");
 
     // Eager-vs-on-demand A/B sweep: steady-state resident throughput plus
     // the pressure regime where the stealer dissolves cold lazy pins.
@@ -614,29 +463,6 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_regpath.json");
     std::fs::write(out, &json).expect("write BENCH_regpath.json");
     println!("{json}");
-
-    // CI scaling gate: with REGPATH_ASSERT_SCALING=1, require the disjoint
-    // 16-thread throughput to beat single-thread by a floor derived from the
-    // host's core count (override with REGPATH_SCALING_MIN). On a 1-core
-    // runner this only asserts the sharded path doesn't collapse under
-    // contention; on a 16+-core box it demands real parallel speedup.
-    if std::env::var("REGPATH_ASSERT_SCALING").as_deref() == Ok("1") {
-        let idx_of = |t: usize| THREAD_COUNTS.iter().position(|&c| c == t).unwrap();
-        let base = disjoint[idx_of(1)];
-        let wide = disjoint[idx_of(16)];
-        let ratio = wide / base;
-        let floor = std::env::var("REGPATH_SCALING_MIN")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or_else(|| default_scaling_floor(host_threads));
-        eprintln!(
-            "scaling gate: disjoint 16T/1T = {ratio:.2}x (floor {floor:.2}x, host_threads {host_threads})"
-        );
-        if ratio < floor {
-            eprintln!("scaling gate FAILED: {ratio:.2}x < {floor:.2}x");
-            std::process::exit(1);
-        }
-    }
 
     // CI on-demand gate: with REGPATH_ASSERT_ONDEMAND=1, require the
     // on-demand steady-state resident hit path to stay within a bounded

@@ -188,3 +188,46 @@ fn swap_full_under_pressure_is_oom_not_corruption() {
     assert_eq!(out, [7u8; 4]);
     node.deregister_mem(mem).unwrap();
 }
+
+#[test]
+fn range_wrapping_the_address_space_is_a_typed_error_for_every_strategy() {
+    // `addr + len` overflows a u64: the request must be refused before any
+    // page arithmetic, with nothing registered and nothing pinned — through
+    // the bare registry and through the node's `VipRegisterMem` path alike.
+    let wrapping = u64::MAX - 100;
+    for strategy in StrategyKind::ALL {
+        let mut k = Kernel::new(KernelConfig::small());
+        let pid = k.spawn_process(Capabilities::default());
+        let mut reg = MemoryRegistry::new(strategy);
+        assert!(
+            matches!(
+                reg.register(&mut k, pid, wrapping, PAGE_SIZE),
+                Err(RegError::InvalidArgument(_))
+            ),
+            "{strategy:?}: registry accepted a wrapping range"
+        );
+        // The sum fits but its page-aligned end does not.
+        assert!(
+            matches!(
+                reg.register(&mut k, pid, u64::MAX - PAGE_SIZE as u64, 8),
+                Err(RegError::InvalidArgument(_))
+            ),
+            "{strategy:?}: registry accepted a range whose last page wraps"
+        );
+        assert_eq!(reg.live_regions(), 0, "{strategy:?}");
+        reg.check_invariants(&k).unwrap();
+
+        let mut node = Node::new(KernelConfig::small(), strategy, 64);
+        let pid = node.kernel.spawn_process(Capabilities::default());
+        assert!(
+            matches!(
+                node.register_mem(pid, wrapping, PAGE_SIZE, ProtectionTag(1)),
+                Err(ViaError::Reg(RegError::InvalidArgument(_)))
+            ),
+            "{strategy:?}: node accepted a wrapping range"
+        );
+        assert_eq!(node.registry.live_regions(), 0, "{strategy:?}");
+        assert_eq!(node.nic.tpt.used_slots(), 0, "{strategy:?}");
+        node.check_local_invariants().unwrap();
+    }
+}
