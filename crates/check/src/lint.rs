@@ -9,7 +9,7 @@
 //!   an allowlisted stats-counter module.
 //! * **R3 `datapath-no-panic`** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in the datapath modules
-//!   (`spsc.rs`, `nic.rs`, `ring.rs`) outside `#[cfg(test)]`
+//!   (`spsc.rs`, `nic.rs`, `ring.rs`, `tpt.rs`) outside `#[cfg(test)]`
 //!   regions. A NIC fault must surface as a typed completion error, never a
 //!   process abort.
 //! * **R4 `completion-choke-point`** — in `crates/via/src`, completions are
@@ -32,6 +32,9 @@ const DATAPATH: &[&str] = &[
     "crates/via/src/spsc.rs",
     "crates/via/src/nic.rs",
     "crates/via/src/ring.rs",
+    // The translation core runs on every descriptor, with addresses and
+    // lengths a peer chose.
+    "crates/via/src/tpt.rs",
 ];
 
 const PANIC_PATTERNS: &[&str] = &[
@@ -408,6 +411,8 @@ mod tests {
         let f = scan_source("crates/via/src/spsc.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 2);
+        // The translation core is a datapath module too.
+        assert_eq!(scan_source("crates/via/src/tpt.rs", src).len(), 1);
         // Non-datapath files are exempt from R3.
         assert!(scan_source("crates/via/src/other.rs", src).is_empty());
     }

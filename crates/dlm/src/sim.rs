@@ -622,6 +622,8 @@ mod tests {
             .orphans(&mut c, 0, |cl| live.contains(&cl))
             .unwrap();
         assert!(orphans.is_empty(), "{orphans:?}");
+        let f = sim.stats.jain_fairness();
+        assert!(f > 0.3, "fairness collapsed: {f}");
     }
 
     /// The benchmark's `dlm_onesided` smoke shape with exact counts. Every

@@ -197,9 +197,14 @@ impl Descriptor {
         self
     }
 
-    /// Total bytes named by the gather/scatter list.
+    /// Total bytes named by the gather/scatter list. The lengths are the
+    /// poster's claim, not yet checked against anything, so the sum
+    /// saturates: a list that overflows `usize` names no registrable range
+    /// and every bounds check refuses the saturated total.
     pub fn total_len(&self) -> usize {
-        self.segs.iter().map(|s| s.len).sum()
+        self.segs
+            .iter()
+            .fold(0usize, |n, s| n.saturating_add(s.len))
     }
 }
 

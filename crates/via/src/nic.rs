@@ -9,10 +9,12 @@
 //! paper's locktest observes ("the first page still contained its original
 //! value").
 
+use std::iter::once;
+
 use simmem::{Kernel, Pid, VirtAddr, PAGE_SIZE};
 use vialock::{impl_since, FaultHandle, FaultSite, MemoryRegistry, StrategyKind};
 
-use crate::descriptor::{DescOp, DescStatus, Descriptor};
+use crate::descriptor::{DataSeg, DescOp, DescStatus, Descriptor};
 use crate::error::{ViaError, ViaResult};
 use crate::tpt::{Access, DmaRun, MemId, ProtectionTag, Tpt};
 use crate::vi::{Completion, Reliability, ViId, ViState, VirtualInterface};
@@ -241,9 +243,6 @@ pub struct Nic {
     /// and a VI is never removed, so the table order is the id order.
     vis: Vec<VirtualInterface>,
     pub stats: NicStats,
-    /// A/B switch for benchmarking: replay the pre-overhaul data path
-    /// (per-page translation, no TLB, fresh `Vec` per message).
-    pub legacy_datapath: bool,
 }
 
 impl Nic {
@@ -252,7 +251,6 @@ impl Nic {
             tpt: Tpt::new(tpt_pages),
             vis: Vec::new(),
             stats: NicStats::default(),
-            legacy_datapath: false,
         }
     }
 
@@ -319,14 +317,25 @@ pub struct Node {
     /// Recycled payload buffers for outgoing packets; incoming payloads are
     /// returned here after scatter, so a steady exchange is allocation-free.
     pub pool: PacketPool,
-    /// Scratch run list reused across gathers/scatters (no per-message
-    /// allocation once it reaches its high-water mark).
+    /// Scratch run list [`Node::walk`] reuses across accesses (no
+    /// per-message allocation once it reaches its high-water mark).
     run_scratch: Vec<DmaRun>,
 }
 
 /// Bounded pin retries the node's kernel agent attempts on a `WouldBlock`
 /// before the registration path degrades or fails.
 const NODE_PIN_RETRIES: u32 = 3;
+
+/// Whose view of the TPT a span is translated under.
+#[derive(Clone, Copy)]
+enum Requester {
+    /// A VI: its protection tag, through its mini-TLB (hits and misses are
+    /// counted).
+    Vi(ViId),
+    /// SCI PIO has no VI: the exported region's own tag, straight from the
+    /// region directory.
+    Pio(ProtectionTag),
+}
 
 impl Node {
     pub fn new(config: simmem::KernelConfig, strategy: StrategyKind, tpt_pages: usize) -> Self {
@@ -528,103 +537,115 @@ impl Node {
         }
     }
 
-    /// The on-demand fault loop around one translation of `len` bytes of
-    /// `mem`: a [`ViaError::NotResident`] result traps to the kernel agent,
-    /// which pins the page, installs the frame and retries `translate`.
-    /// Each retry makes one page resident, so the loop is bounded by the
-    /// span's page count (doubled: a pin may itself trigger reclaim that
-    /// steals an earlier page of the span); exhaustion degrades typed
-    /// rather than spinning.
-    fn translate_faulting(
+    /// The one routine every DMA and PIO access to registered memory runs
+    /// through. It owns the scratch run list, the on-demand fault loop and
+    /// the order of events, which is the same on every path:
+    ///
+    /// 1. **validate** — every span is translated (bounds, protection tag,
+    ///    RDMA attribute, residency) into the run list. Nothing has been
+    ///    allocated and no memory touched when a span is refused;
+    /// 2. **`dma`** runs on the validated runs: it takes the buffer it
+    ///    needs — the size is now known to lie inside registered memory,
+    ///    whatever length the descriptor or the peer claimed — and issues
+    ///    the bursts, deciding itself whether they count in `dma_ops`.
+    ///
+    /// The fault loop: a [`ViaError::NotResident`] page traps to the kernel
+    /// agent, which pins it and installs the frame, and the pass over the
+    /// spans restarts — a pin may run reclaim that steals a page translated
+    /// a moment ago, so only a pass with no pin in it counts. Each retry
+    /// makes one page resident, so the loop is bounded by the spans' page
+    /// count (doubled, for those steals); exhaustion degrades typed rather
+    /// than spinning.
+    fn walk<T>(
         &mut self,
-        mem: MemId,
-        len: usize,
-        out: &mut Vec<DmaRun>,
-        mut translate: impl FnMut(&mut Nic, &mut Vec<DmaRun>) -> ViaResult<()>,
-    ) -> ViaResult<()> {
-        let budget = 2 * (len / PAGE_SIZE + 2);
-        for _ in 0..budget {
-            self.sync_lazy_invalidations();
-            out.clear();
-            match translate(&mut self.nic, out) {
-                Err(ViaError::NotResident { page }) => self.repin_page(mem, page)?,
-                r => return r,
-            }
-        }
-        Err(ViaError::Repin(vialock::RegError::WouldBlock))
-    }
-
-    /// [`Nic::translate_range`] under [`Node::translate_faulting`].
-    fn translate_range_faulting(
-        &mut self,
-        vi_id: ViId,
-        mem: MemId,
-        addr: VirtAddr,
-        len: usize,
+        by: Requester,
+        spans: impl Iterator<Item = DataSeg> + Clone,
         access: Access,
-        out: &mut Vec<DmaRun>,
-    ) -> ViaResult<()> {
-        self.translate_faulting(mem, len, out, |nic, out| {
-            nic.translate_range(vi_id, mem, addr, len, access, out)
-        })
-    }
-
-    /// Raw-TPT counterpart of [`Node::translate_range_faulting`] for paths
-    /// without a VI (SCI PIO uses the region's own tag).
-    fn tpt_translate_range_faulting(
-        &mut self,
-        mem: MemId,
-        addr: VirtAddr,
-        len: usize,
-        tag: ProtectionTag,
-        access: Access,
-        out: &mut Vec<DmaRun>,
-    ) -> ViaResult<()> {
-        self.translate_faulting(mem, len, out, |nic, out| {
-            nic.tpt.translate_range(mem, addr, len, tag, access, out)
-        })
-    }
-
-    /// Gather the bytes of a send/RDMA descriptor out of physical memory
-    /// through the TPT (the NIC-side DMA read): one burst DMA per
-    /// physically contiguous frame run, into a pooled payload buffer.
-    fn gather(&mut self, vi_id: ViId, desc: &Descriptor) -> ViaResult<Vec<u8>> {
-        if self.nic.legacy_datapath {
-            let tag = self.nic.vi(vi_id)?.tag;
-            return self.gather_legacy(tag, desc);
-        }
-        let total = desc.total_len();
-        let mut out = self.pool.take(total, &mut self.nic.stats);
-        let mut base = 0usize;
+        dma: impl FnOnce(&mut Node, &[DmaRun]) -> ViaResult<T>,
+    ) -> ViaResult<T> {
         let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            for seg in &desc.segs {
-                self.translate_range_faulting(
-                    vi_id,
-                    seg.mem,
-                    seg.addr,
-                    seg.len,
-                    Access::Local,
-                    &mut runs,
-                )?;
-                for run in &runs {
-                    self.kernel.dma_read_run(
-                        run.frame,
-                        run.offset,
-                        &mut out[base..base + run.len],
-                    )?;
-                    self.nic.stats.dma_ops += 1;
-                    base += run.len;
+        let r = self
+            .resolve(by, spans, access, &mut runs)
+            .and_then(|()| dma(self, &runs));
+        self.run_scratch = runs;
+        r
+    }
+
+    /// The validate step of [`Node::walk`].
+    fn resolve(
+        &mut self,
+        by: Requester,
+        spans: impl Iterator<Item = DataSeg> + Clone,
+        access: Access,
+        runs: &mut Vec<DmaRun>,
+    ) -> ViaResult<()> {
+        let mut repins = 0usize;
+        'pass: loop {
+            self.sync_lazy_invalidations();
+            runs.clear();
+            for s in spans.clone() {
+                let r = match by {
+                    Requester::Vi(vi) => self
+                        .nic
+                        .translate_range(vi, s.mem, s.addr, s.len, access, runs),
+                    Requester::Pio(tag) => self
+                        .nic
+                        .tpt
+                        .translate_range(s.mem, s.addr, s.len, tag, access, runs),
+                };
+                match r {
+                    Err(ViaError::NotResident { page }) => {
+                        self.repin_page(s.mem, page)?;
+                        repins += 1;
+                        // Twice the spans' pages (saturating: spans past
+                        // this one are still the poster's unchecked claim).
+                        let budget = spans
+                            .clone()
+                            .fold(0usize, |n, s| n.saturating_add(2 * (s.len / PAGE_SIZE + 2)));
+                        if repins >= budget {
+                            return Err(ViaError::Repin(vialock::RegError::WouldBlock));
+                        }
+                        continue 'pass;
+                    }
+                    r => r?,
                 }
             }
-            Ok(())
-        })();
-        self.run_scratch = runs;
-        match r {
-            Ok(()) => {
-                debug_assert_eq!(base, total);
-                Ok(out)
-            }
+            return Ok(());
+        }
+    }
+
+    /// One burst DMA read per run, into consecutive bytes of `out`.
+    fn read_runs(&mut self, runs: &[DmaRun], out: &mut [u8], counted: bool) -> ViaResult<()> {
+        let mut at = 0usize;
+        for run in runs {
+            self.kernel
+                .dma_read_run(run.frame, run.offset, &mut out[at..at + run.len])?;
+            self.nic.stats.dma_ops += counted as u64;
+            at += run.len;
+        }
+        Ok(())
+    }
+
+    /// One burst DMA write per run, from consecutive bytes of `data`;
+    /// returns the bytes written.
+    fn write_runs(&mut self, runs: &[DmaRun], data: &[u8], counted: bool) -> ViaResult<usize> {
+        let mut at = 0usize;
+        for run in runs {
+            self.kernel
+                .dma_write_run(run.frame, run.offset, &data[at..at + run.len])?;
+            self.nic.stats.dma_ops += counted as u64;
+            at += run.len;
+        }
+        Ok(at)
+    }
+
+    /// The NIC-side DMA read of validated runs into a pooled payload
+    /// buffer sized by them.
+    fn read_pooled(&mut self, runs: &[DmaRun]) -> ViaResult<Vec<u8>> {
+        let total = runs.iter().map(|r| r.len).sum();
+        let mut out = self.pool.take(total, &mut self.nic.stats);
+        match self.read_runs(runs, &mut out, true) {
+            Ok(()) => Ok(out),
             Err(e) => {
                 self.pool.put(out);
                 Err(e)
@@ -632,152 +653,61 @@ impl Node {
         }
     }
 
-    /// The pre-overhaul gather: per-page translate, fresh `Vec` grown
-    /// chunk-by-chunk. Kept behind [`Nic::legacy_datapath`] so the bench
-    /// can A/B the two paths in one binary.
-    fn gather_legacy(&self, vi_tag: ProtectionTag, desc: &Descriptor) -> ViaResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(desc.total_len());
-        for seg in &desc.segs {
-            let mut remaining = seg.len;
-            let mut addr = seg.addr;
-            while remaining > 0 {
-                let (frame, off) = self
-                    .nic
-                    .tpt
-                    .translate(seg.mem, addr, vi_tag, Access::Local)?;
-                let chunk = remaining.min(PAGE_SIZE - off);
-                let base = out.len();
-                out.resize(base + chunk, 0);
-                self.kernel
-                    .dma_read(frame, off, &mut out[base..base + chunk])?;
-                addr += chunk as u64;
-                remaining -= chunk;
-            }
-        }
-        Ok(out)
+    /// Gather the bytes of a send/RDMA descriptor out of physical memory
+    /// through the TPT: one burst DMA per physically contiguous frame run.
+    fn gather(&mut self, vi_id: ViId, desc: &Descriptor) -> ViaResult<Vec<u8>> {
+        self.walk(
+            Requester::Vi(vi_id),
+            desc.segs.iter().copied(),
+            Access::Local,
+            Node::read_pooled,
+        )
     }
 
-    /// Scatter incoming bytes into the buffers of a receive descriptor (the
-    /// NIC-side DMA write), one burst DMA per contiguous run. Writes stop
-    /// when the descriptor runs out of room: `written < data.len()` is a
-    /// silent truncation the caller decides how to report.
-    fn scatter(&mut self, vi_id: ViId, desc: &Descriptor, data: &[u8]) -> ViaResult<usize> {
-        if self.nic.legacy_datapath {
-            let tag = self.nic.vi(vi_id)?.tag;
-            return self.scatter_legacy(tag, desc, data);
-        }
-        let mut written = 0usize;
-        let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            for seg in &desc.segs {
-                if written == data.len() {
-                    break;
-                }
-                let take = seg.len.min(data.len() - written);
-                self.translate_range_faulting(
-                    vi_id,
-                    seg.mem,
-                    seg.addr,
-                    take,
-                    Access::Local,
-                    &mut runs,
-                )?;
-                for run in &runs {
-                    self.kernel.dma_write_run(
-                        run.frame,
-                        run.offset,
-                        &data[written..written + run.len],
-                    )?;
-                    self.nic.stats.dma_ops += 1;
-                    written += run.len;
-                }
-            }
-            Ok(())
-        })();
-        self.run_scratch = runs;
-        r.map(|()| written)
-    }
-
-    /// Pre-overhaul per-page scatter (see [`Node::gather_legacy`]).
-    fn scatter_legacy(
-        &mut self,
-        vi_tag: ProtectionTag,
-        desc: &Descriptor,
-        data: &[u8],
-    ) -> ViaResult<usize> {
-        let mut written = 0usize;
-        for seg in &desc.segs {
-            if written == data.len() {
-                break;
-            }
-            let mut addr = seg.addr;
-            let mut room = seg.len;
-            while room > 0 && written < data.len() {
-                let (frame, off) = self
-                    .nic
-                    .tpt
-                    .translate(seg.mem, addr, vi_tag, Access::Local)?;
-                let chunk = room.min(PAGE_SIZE - off).min(data.len() - written);
-                self.kernel
-                    .dma_write(frame, off, &data[written..written + chunk])?;
-                addr += chunk as u64;
-                room -= chunk;
-                written += chunk;
-            }
-        }
-        Ok(written)
-    }
-
-    /// RDMA-write delivery: scatter straight into the named remote region
-    /// (checking the target VI's tag and the region's RDMA-write enable).
-    fn rdma_scatter(
+    /// Where an incoming payload ends up: scatter it into `desc` — a posted
+    /// receive, or the parked read/CAS descriptor a response answers — one
+    /// burst DMA per contiguous run, hand the buffer back to the pool and
+    /// complete `op` with the bytes placed. Writes stop where the descriptor
+    /// runs out of room: fewer bytes placed than arrived is the truncating
+    /// delivery of an unreliable VI (a reliable one refused the message
+    /// before it got here).
+    fn complete_scatter(
         &mut self,
         vi_id: ViId,
-        remote_mem: MemId,
-        remote_addr: VirtAddr,
-        data: &[u8],
-    ) -> ViaResult<()> {
-        if self.nic.legacy_datapath {
-            let vi_tag = self.nic.vi(vi_id)?.tag;
-            let mut written = 0usize;
-            let mut addr = remote_addr;
-            while written < data.len() {
-                let (frame, off) =
-                    self.nic
-                        .tpt
-                        .translate(remote_mem, addr, vi_tag, Access::RdmaWrite)?;
-                let chunk = (data.len() - written).min(PAGE_SIZE - off);
-                self.kernel
-                    .dma_write(frame, off, &data[written..written + chunk])?;
-                addr += chunk as u64;
-                written += chunk;
+        desc: &Descriptor,
+        op: DescOp,
+        payload: Vec<u8>,
+        imm: Option<u32>,
+    ) -> ViaResult<Vec<Packet>> {
+        // The descriptor's segments, cut off where the message ends.
+        let spans = desc.segs.iter().scan(payload.len(), |left, s| {
+            if *left == 0 {
+                return None;
             }
-            return Ok(());
+            let len = s.len.min(*left);
+            *left -= len;
+            Some(DataSeg { len, ..*s })
+        });
+        let placed = self.walk(Requester::Vi(vi_id), spans, Access::Local, |node, runs| {
+            node.write_runs(runs, &payload, true)
+        });
+        self.pool.put(payload);
+        let len = placed?;
+        if op == DescOp::Recv {
+            self.nic.stats.recvs += 1;
         }
-        let mut written = 0usize;
-        let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            self.translate_range_faulting(
-                vi_id,
-                remote_mem,
-                remote_addr,
-                data.len(),
-                Access::RdmaWrite,
-                &mut runs,
-            )?;
-            for run in &runs {
-                self.kernel.dma_write_run(
-                    run.frame,
-                    run.offset,
-                    &data[written..written + run.len],
-                )?;
-                self.nic.stats.dma_ops += 1;
-                written += run.len;
-            }
-            Ok(())
-        })();
-        self.run_scratch = runs;
-        r
+        self.nic.stats.bytes_rx += len as u64;
+        self.push_completion(
+            vi_id,
+            Completion {
+                vi: vi_id,
+                op,
+                status: DescStatus::Done,
+                len,
+                imm,
+            },
+        )?;
+        Ok(Vec::new())
     }
 
     /// Process all pending send-side descriptors of one VI, emitting
@@ -871,7 +801,7 @@ impl Node {
     fn execute_send_desc(
         &mut self,
         vi_id: ViId,
-        mut desc: Descriptor,
+        desc: Descriptor,
         node_index: usize,
     ) -> ViaResult<Option<Packet>> {
         let (peer, state) = {
@@ -944,8 +874,7 @@ impl Node {
         }
         match self.gather(vi_id, &desc) {
             Ok(payload) => {
-                desc.status = DescStatus::Done;
-                desc.done_len = payload.len();
+                let len = payload.len();
                 let kind = match desc.op {
                     DescOp::Send => {
                         self.nic.stats.sends += 1;
@@ -968,7 +897,7 @@ impl Node {
                         return Err(ViaError::BadState("non-gather op reached the gather path"));
                     }
                 };
-                self.nic.stats.bytes_tx += payload.len() as u64;
+                self.nic.stats.bytes_tx += len as u64;
                 let pkt = Packet {
                     src_node: node_index,
                     dst_node,
@@ -983,7 +912,7 @@ impl Node {
                         vi: vi_id,
                         op: desc.op,
                         status: DescStatus::Done,
-                        len: desc.done_len,
+                        len,
                         imm: desc.imm,
                     },
                 ) {
@@ -1013,7 +942,6 @@ impl Node {
                         imm: desc.imm,
                     },
                 )?;
-                let _ = e;
                 Ok(None)
             }
         }
@@ -1027,7 +955,7 @@ impl Node {
         match packet.kind {
             PacketKind::Send => {
                 let reliability = self.nic.vi(vi_id)?.reliability;
-                let Some(mut desc) = self.nic.vi_mut(vi_id)?.recv_q.pop_front() else {
+                let Some(desc) = self.nic.vi_mut(vi_id)?.recv_q.pop_front() else {
                     self.nic.stats.dropped += 1;
                     self.pool.put(packet.payload);
                     return match reliability {
@@ -1059,43 +987,29 @@ impl Node {
                     )?;
                     return Err(ViaError::RecvTooSmall { need, have });
                 }
-                // Unreliable mode takes a truncating delivery instead:
-                // `scatter` stops at the descriptor's capacity and the
+                // Unreliable mode takes a truncating delivery instead: the
+                // scatter stops at the descriptor's capacity and the
                 // completion reports the bytes actually placed.
-                let written = match self.scatter(vi_id, &desc, &packet.payload) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        self.pool.put(packet.payload);
-                        return Err(e);
-                    }
-                };
-                desc.status = DescStatus::Done;
-                desc.done_len = written;
-                self.nic.stats.recvs += 1;
-                self.nic.stats.bytes_rx += written as u64;
-                let imm = packet.imm;
-                self.pool.put(packet.payload);
-                self.push_completion(
-                    vi_id,
-                    Completion {
-                        vi: vi_id,
-                        op: DescOp::Recv,
-                        status: DescStatus::Done,
-                        len: written,
-                        imm,
-                    },
-                )?;
-                Ok(Vec::new())
+                self.complete_scatter(vi_id, &desc, DescOp::Recv, packet.payload, packet.imm)
             }
             PacketKind::RdmaWrite {
                 remote_mem,
                 remote_addr,
             } => {
-                let n = packet.payload.len();
-                let r = self.rdma_scatter(vi_id, remote_mem, remote_addr, &packet.payload);
+                // Scatter straight into the named region: the target VI's
+                // tag and the region's RDMA-write enable are checked.
+                let span = DataSeg {
+                    mem: remote_mem,
+                    addr: remote_addr,
+                    len: packet.payload.len(),
+                };
+                let by = Requester::Vi(vi_id);
+                let r = self.walk(by, once(span), Access::RdmaWrite, |node, runs| {
+                    node.write_runs(runs, &packet.payload, true)
+                });
                 self.pool.put(packet.payload);
                 match r {
-                    Ok(()) => {
+                    Ok(n) => {
                         self.nic.stats.bytes_rx += n as u64;
                         Ok(Vec::new())
                     }
@@ -1113,7 +1027,13 @@ impl Node {
             } => {
                 // Target side: gather the requested range (tag + read-enable
                 // checked) and answer.
-                match self.rdma_gather(vi_id, remote_mem, remote_addr, len) {
+                let span = DataSeg {
+                    mem: remote_mem,
+                    addr: remote_addr,
+                    len,
+                };
+                let by = Requester::Vi(vi_id);
+                match self.walk(by, once(span), Access::RdmaRead, Node::read_pooled) {
                     Ok(payload) => {
                         self.nic.stats.bytes_tx += payload.len() as u64;
                         Ok(vec![Packet {
@@ -1177,7 +1097,7 @@ impl Node {
             }
             PacketKind::AtomicCasResp { ok } => {
                 // Requester side: complete the parked CAS descriptor.
-                let Some(mut desc) = self.nic.vi_mut(vi_id)?.pending_reads.pop_front() else {
+                let Some(desc) = self.nic.vi_mut(vi_id)?.pending_reads.pop_front() else {
                     self.pool.put(packet.payload);
                     return Err(ViaError::BadState("CAS response without pending CAS"));
                 };
@@ -1186,7 +1106,6 @@ impl Node {
                     return Err(ViaError::BadState("CAS response for non-CAS descriptor"));
                 }
                 if !ok {
-                    desc.status = DescStatus::ProtectionError;
                     let imm = packet.imm;
                     self.pool.put(packet.payload);
                     self.push_completion(
@@ -1201,59 +1120,15 @@ impl Node {
                     )?;
                     return Ok(Vec::new());
                 }
-                let written = match self.scatter(vi_id, &desc, &packet.payload) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        self.pool.put(packet.payload);
-                        return Err(e);
-                    }
-                };
-                desc.status = DescStatus::Done;
-                desc.done_len = written;
-                self.nic.stats.bytes_rx += written as u64;
-                let imm = packet.imm;
-                self.pool.put(packet.payload);
-                self.push_completion(
-                    vi_id,
-                    Completion {
-                        vi: vi_id,
-                        op: DescOp::AtomicCas,
-                        status: DescStatus::Done,
-                        len: written,
-                        imm,
-                    },
-                )?;
-                Ok(Vec::new())
+                self.complete_scatter(vi_id, &desc, DescOp::AtomicCas, packet.payload, packet.imm)
             }
             PacketKind::RdmaReadResp => {
                 // Requester side: scatter into the parked read descriptor.
-                let Some(mut desc) = self.nic.vi_mut(vi_id)?.pending_reads.pop_front() else {
+                let Some(desc) = self.nic.vi_mut(vi_id)?.pending_reads.pop_front() else {
                     self.pool.put(packet.payload);
                     return Err(ViaError::BadState("read response without pending read"));
                 };
-                let written = match self.scatter(vi_id, &desc, &packet.payload) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        self.pool.put(packet.payload);
-                        return Err(e);
-                    }
-                };
-                desc.status = DescStatus::Done;
-                desc.done_len = written;
-                self.nic.stats.bytes_rx += written as u64;
-                let imm = packet.imm;
-                self.pool.put(packet.payload);
-                self.push_completion(
-                    vi_id,
-                    Completion {
-                        vi: vi_id,
-                        op: DescOp::RdmaRead,
-                        status: DescStatus::Done,
-                        len: written,
-                        imm,
-                    },
-                )?;
-                Ok(Vec::new())
+                self.complete_scatter(vi_id, &desc, DescOp::RdmaRead, packet.payload, packet.imm)
             }
         }
     }
@@ -1264,64 +1139,31 @@ impl Node {
     /// implementation; translation uses the region's own tag (importer-side
     /// protection is the host MMU).
     pub fn sci_write_bytes(&mut self, data: &[u8], dmem: MemId, doff: usize) -> ViaResult<()> {
-        let region = self.nic.tpt.region(dmem)?.clone();
-        if doff + data.len() > region.len {
-            return Err(ViaError::OutOfBounds);
-        }
-        let addr = region.user_addr + doff as u64;
-        let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            self.tpt_translate_range_faulting(
-                dmem,
-                addr,
-                data.len(),
-                region.tag,
-                Access::Local,
-                &mut runs,
-            )?;
-            let mut written = 0usize;
-            for run in &runs {
-                self.kernel.dma_write_run(
-                    run.frame,
-                    run.offset,
-                    &data[written..written + run.len],
-                )?;
-                written += run.len;
-            }
-            Ok(())
-        })();
-        self.run_scratch = runs;
-        r
+        let (span, by) = self.pio_span(dmem, doff, data.len())?;
+        // PIO stores are CPU accesses, not NIC bursts: not in `dma_ops`.
+        self.walk(by, once(span), Access::Local, |node, runs| {
+            node.write_runs(runs, data, false).map(|_| ())
+        })
     }
 
     /// SCI remote read from one of this node's exported regions (see
     /// [`Node::sci_write_bytes`]).
     pub fn sci_read_bytes(&mut self, smem: MemId, soff: usize, out: &mut [u8]) -> ViaResult<()> {
-        let region = self.nic.tpt.region(smem)?.clone();
-        if soff + out.len() > region.len {
+        let (span, by) = self.pio_span(smem, soff, out.len())?;
+        self.walk(by, once(span), Access::Local, |node, runs| {
+            node.read_runs(runs, out, false)
+        })
+    }
+
+    /// `len` bytes at byte offset `off` of exported region `mem`, as a span
+    /// under the region's own tag.
+    fn pio_span(&self, mem: MemId, off: usize, len: usize) -> ViaResult<(DataSeg, Requester)> {
+        let region = self.nic.tpt.region(mem)?;
+        if off.checked_add(len).is_none_or(|end| end > region.len) {
             return Err(ViaError::OutOfBounds);
         }
-        let addr = region.user_addr + soff as u64;
-        let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            self.tpt_translate_range_faulting(
-                smem,
-                addr,
-                out.len(),
-                region.tag,
-                Access::Local,
-                &mut runs,
-            )?;
-            let mut read = 0usize;
-            for run in &runs {
-                self.kernel
-                    .dma_read_run(run.frame, run.offset, &mut out[read..read + run.len])?;
-                read += run.len;
-            }
-            Ok(())
-        })();
-        self.run_scratch = runs;
-        r
+        let addr = region.user_addr + off as u64;
+        Ok((DataSeg { mem, addr, len }, Requester::Pio(region.tag)))
     }
 
     /// The per-node slice of the fabric-wide invariants:
@@ -1366,99 +1208,25 @@ impl Node {
         if !remote_addr.is_multiple_of(8) {
             return Err(ViaError::OutOfBounds);
         }
-        let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            // Check the read enable first, then translate again under the
-            // write enable; the second translation's run is the one used,
-            // so a region registered read-only is refused before any DMA.
-            self.translate_range_faulting(
-                vi_id,
-                remote_mem,
-                remote_addr,
-                8,
-                Access::RdmaRead,
-                &mut runs,
-            )?;
-            self.translate_range_faulting(
-                vi_id,
-                remote_mem,
-                remote_addr,
-                8,
-                Access::RdmaWrite,
-                &mut runs,
-            )?;
-            let run = runs[0];
-            debug_assert_eq!(run.len, 8, "aligned u64 never spans frames");
+        let by = Requester::Vi(vi_id);
+        let word = once(DataSeg {
+            mem: remote_mem,
+            addr: remote_addr,
+            len: 8,
+        });
+        // Check the read enable first, then translate again under the
+        // write enable; the second translation's run is the one used, so a
+        // region registered read-only is refused before any DMA.
+        self.walk(by, word.clone(), Access::RdmaRead, |_, _| Ok(()))?;
+        self.walk(by, word, Access::RdmaWrite, |node, runs| {
             let mut old = [0u8; 8];
-            self.kernel.dma_read_run(run.frame, run.offset, &mut old)?;
-            self.nic.stats.dma_ops += 1;
+            node.read_runs(runs, &mut old, true)?;
             let old = u64::from_le_bytes(old);
             if old == compare {
-                self.kernel
-                    .dma_write_run(run.frame, run.offset, &swap.to_le_bytes())?;
-                self.nic.stats.dma_ops += 1;
-                self.nic.stats.cas_applied += 1;
+                node.write_runs(runs, &swap.to_le_bytes(), true)?;
+                node.nic.stats.cas_applied += 1;
             }
             Ok(old)
-        })();
-        self.run_scratch = runs;
-        r
-    }
-
-    /// Gather `len` bytes from a named region for an RDMA-read request
-    /// (checking the target VI's tag and the region's read-enable).
-    fn rdma_gather(
-        &mut self,
-        vi_id: ViId,
-        remote_mem: MemId,
-        remote_addr: VirtAddr,
-        len: usize,
-    ) -> ViaResult<Vec<u8>> {
-        if self.nic.legacy_datapath {
-            let vi_tag = self.nic.vi(vi_id)?.tag;
-            let mut out = Vec::with_capacity(len);
-            let mut addr = remote_addr;
-            while out.len() < len {
-                let (frame, off) =
-                    self.nic
-                        .tpt
-                        .translate(remote_mem, addr, vi_tag, Access::RdmaRead)?;
-                let chunk = (len - out.len()).min(PAGE_SIZE - off);
-                let base = out.len();
-                out.resize(base + chunk, 0);
-                self.kernel
-                    .dma_read(frame, off, &mut out[base..base + chunk])?;
-                addr += chunk as u64;
-            }
-            return Ok(out);
-        }
-        let mut out = self.pool.take(len, &mut self.nic.stats);
-        let mut base = 0usize;
-        let mut runs = std::mem::take(&mut self.run_scratch);
-        let r = (|| {
-            self.translate_range_faulting(
-                vi_id,
-                remote_mem,
-                remote_addr,
-                len,
-                Access::RdmaRead,
-                &mut runs,
-            )?;
-            for run in &runs {
-                self.kernel
-                    .dma_read_run(run.frame, run.offset, &mut out[base..base + run.len])?;
-                self.nic.stats.dma_ops += 1;
-                base += run.len;
-            }
-            Ok(())
-        })();
-        self.run_scratch = runs;
-        match r {
-            Ok(()) => Ok(out),
-            Err(e) => {
-                self.pool.put(out);
-                Err(e)
-            }
-        }
+        })
     }
 }

@@ -231,7 +231,7 @@ impl<T> Producer<T> {
         n
     }
 
-    /// Push-and-publish in one call (the unbatched/legacy path).
+    /// Push-and-publish in one call (the unbatched path).
     pub fn push(&mut self, v: T) -> Result<(), PushError<T>> {
         self.push_deferred(v)?;
         self.publish();

@@ -532,24 +532,6 @@ impl NodeCtx {
         if self.outbox.is_empty() {
             return Ok(sent);
         }
-        if self.node.nic.legacy_datapath {
-            // Pre-overhaul wire: one publish (and one peer wakeup) per
-            // packet instead of one per destination per flush.
-            let mut pkts = std::mem::take(&mut self.outbox).into_iter();
-            let mut result = Ok(());
-            for pkt in pkts.by_ref() {
-                if let Err(e) = self.stage(pkt, false) {
-                    result = Err(e);
-                    break;
-                }
-                self.flush_wire();
-            }
-            for pkt in pkts {
-                self.node.pool.put(pkt.payload);
-            }
-            result?;
-            return Ok(sent);
-        }
         self.route_outbox(false)?;
         Ok(sent)
     }
@@ -729,23 +711,19 @@ impl NodeCtx {
                 continue;
             }
             // Nothing queued: spin briefly, then park so we neither burn
-            // the core nor miss a wakeup. The legacy path parked
-            // immediately (the pre-overhaul fixed 1 ms park), paying a
-            // futex sleep/wake on every idle wait.
+            // the core nor miss a wakeup.
             let mut woke = false;
-            if !self.node.nic.legacy_datapath {
-                let spins = spin_budget();
-                for i in 0..spins + YIELD_BUDGET {
-                    if self.refill_inbound() {
-                        woke = true;
-                        self.stats.spin_wakes += 1;
-                        break;
-                    }
-                    if i < spins {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
+            let spins = spin_budget();
+            for i in 0..spins + YIELD_BUDGET {
+                if self.refill_inbound() {
+                    woke = true;
+                    self.stats.spin_wakes += 1;
+                    break;
+                }
+                if i < spins {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
                 }
             }
             if !woke {

@@ -96,15 +96,14 @@ struct TlbSlot {
     page_base: VirtAddr,
     first_slot: usize,
     tag: ProtectionTag,
-    rdma_write: bool,
-    rdma_read: bool,
 }
 
 /// A per-VI mini-TLB over TPT *region descriptors*: a hit resolves bounds,
-/// protection and the slot window without touching the region directory
+/// protection tag and the slot window without touching the region directory
 /// (the `BTreeMap` walk real NICs avoid with their on-chip TLBs). Frames
-/// are always read from the live TPT slots, so `poke_frame` staleness
-/// injection stays visible; directory mutations invalidate via the TPT
+/// and RDMA attributes are always read from the live TPT slots — so
+/// `poke_frame` staleness injection stays visible and a hit refuses in the
+/// same order as a miss; directory mutations invalidate via the TPT
 /// generation counter.
 #[derive(Debug, Default)]
 pub struct TranslationCache {
@@ -132,6 +131,14 @@ pub struct Tpt {
     /// Bumped on every directory mutation; validates [`TranslationCache`]
     /// entries.
     generation: u64,
+}
+
+/// `insert_region` fills every slot of a region and `remove_region` empties
+/// them together, so a hole inside a live region is a broken table — reported
+/// typed, because translation runs on every descriptor and the NIC never
+/// panics on the datapath.
+fn hole() -> ViaError {
+    ViaError::BadState("empty TPT slot inside a region")
 }
 
 impl Tpt {
@@ -247,6 +254,19 @@ impl Tpt {
         self.regions.get(&mem_id).ok_or(ViaError::BadId("memory"))
     }
 
+    /// The entry of page `page` of region `mem_id`, for the residency edits.
+    fn entry_mut(&mut self, mem_id: MemId, page: usize) -> ViaResult<&mut TptEntry> {
+        let region = self.region(mem_id)?;
+        if page >= region.npages {
+            return Err(ViaError::OutOfBounds);
+        }
+        let slot = region.first_slot + page;
+        self.slots
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .ok_or_else(hole)
+    }
+
     /// Number of live regions.
     pub fn region_count(&self) -> usize {
         self.regions.len()
@@ -287,9 +307,11 @@ impl Tpt {
             return Err(ViaError::OutOfBounds);
         }
         let page_index = ((addr - region.page_base) / PAGE_SIZE as u64) as usize;
-        let entry = self.slots[region.first_slot + page_index]
-            .as_ref()
-            .expect("region slots are filled");
+        let entry = self
+            .slots
+            .get(region.first_slot + page_index)
+            .and_then(Option::as_ref)
+            .ok_or_else(hole)?;
         if entry.tag != want_tag {
             return Err(ViaError::ProtectionMismatch);
         }
@@ -350,33 +372,12 @@ impl Tpt {
         if let Some(e) = tlb.lookup(mem_id, self.generation) {
             let (user_addr, rlen, page_base, first_slot, tag) =
                 (e.user_addr, e.len, e.page_base, e.first_slot, e.tag);
-            // Attribute checks against the cached descriptor.
-            match access {
-                Access::Local => {}
-                Access::RdmaWrite if !e.rdma_write => return Err(ViaError::RdmaDisabled),
-                Access::RdmaRead if !e.rdma_read => return Err(ViaError::RdmaDisabled),
-                _ => {}
-            }
             self.resolve_runs(
-                user_addr,
-                rlen,
-                page_base,
-                first_slot,
-                tag,
-                addr,
-                len,
-                want_tag,
-                Access::Local, // attributes already checked above
-                out,
+                user_addr, rlen, page_base, first_slot, tag, addr, len, want_tag, access, out,
             )?;
             return Ok(true);
         }
         let region = self.region(mem_id)?;
-        // Region attributes are uniform across its slots; cache them from
-        // the first entry.
-        let entry = self.slots[region.first_slot]
-            .as_ref()
-            .expect("region slots are filled");
         let slot = TlbSlot {
             mem: mem_id,
             generation: self.generation,
@@ -385,8 +386,6 @@ impl Tpt {
             page_base: region.page_base,
             first_slot: region.first_slot,
             tag: region.tag,
-            rdma_write: entry.rdma_write,
-            rdma_read: entry.rdma_read,
         };
         self.resolve_runs(
             region.user_addr,
@@ -423,17 +422,24 @@ impl Tpt {
         if len == 0 {
             return Ok(());
         }
-        if addr < region_addr || addr + len as u64 > region_addr + region_len as u64 {
+        // `addr` and `len` come from a descriptor — for RDMA, one a peer
+        // wrote — so the span's end is computed checked: a sum that wraps
+        // the address space lies outside every region.
+        let end = addr.checked_add(len as u64).ok_or(ViaError::OutOfBounds)?;
+        if addr < region_addr || end > region_addr + region_len as u64 {
             return Err(ViaError::OutOfBounds);
         }
         if region_tag != want_tag {
             return Err(ViaError::ProtectionMismatch);
         }
         let first_page = ((addr - page_base) / PAGE_SIZE as u64) as usize;
-        let last_page = ((addr + len as u64 - 1 - page_base) / PAGE_SIZE as u64) as usize;
-        let first_entry = self.slots[first_slot + first_page]
-            .as_ref()
-            .expect("region slots are filled");
+        let last_page = ((end - 1 - page_base) / PAGE_SIZE as u64) as usize;
+        // The span's slots, sliced once: the walk below checks no index.
+        let window = self
+            .slots
+            .get(first_slot + first_page..=first_slot + last_page)
+            .ok_or_else(hole)?;
+        let first_entry = window.first().and_then(Option::as_ref).ok_or_else(hole)?;
         match access {
             Access::Local => {}
             Access::RdmaWrite if !first_entry.rdma_write => return Err(ViaError::RdmaDisabled),
@@ -449,15 +455,15 @@ impl Tpt {
         let mut run_len = 0usize;
         let mut prev_frame = run_frame;
         let mut remaining = len;
-        for page in first_page..=last_page {
+        for (page, slot) in (first_page..).zip(window) {
             let covered = if page == first_page {
                 remaining.min(PAGE_SIZE - run_offset)
             } else {
                 remaining.min(PAGE_SIZE)
             };
-            let frame = self.slots[first_slot + page]
+            let frame = slot
                 .as_ref()
-                .expect("region slots are filled")
+                .ok_or_else(hole)?
                 .frame
                 .ok_or(ViaError::NotResident { page })?;
             if page > first_page && frame.0 != prev_frame.0 + 1 {
@@ -487,14 +493,7 @@ impl Tpt {
     /// to model TPT staleness injection).
     #[doc(hidden)]
     pub fn poke_frame(&mut self, mem_id: MemId, page: usize, frame: FrameId) -> ViaResult<()> {
-        let region = self.region(mem_id)?.clone();
-        if page >= region.npages {
-            return Err(ViaError::OutOfBounds);
-        }
-        self.slots[region.first_slot + page]
-            .as_mut()
-            .expect("filled")
-            .frame = Some(frame);
+        self.entry_mut(mem_id, page)?.frame = Some(frame);
         Ok(())
     }
 
@@ -503,17 +502,7 @@ impl Tpt {
     /// residency change are refetched — the repin side of the TPT
     /// generation protocol.
     pub fn set_frame(&mut self, mem_id: MemId, page: usize, frame: FrameId) -> ViaResult<()> {
-        let (first_slot, npages) = {
-            let r = self.region(mem_id)?;
-            (r.first_slot, r.npages)
-        };
-        if page >= npages {
-            return Err(ViaError::OutOfBounds);
-        }
-        match self.slots[first_slot + page].as_mut() {
-            Some(e) => e.frame = Some(frame),
-            None => return Err(ViaError::BadId("memory")),
-        }
+        self.entry_mut(mem_id, page)?.frame = Some(frame);
         self.generation += 1;
         Ok(())
     }
@@ -731,18 +720,18 @@ mod tests {
             .unwrap();
         assert_eq!((f, off), (FrameId(100), 10));
 
-        // Bounds and tag still enforced, now span-wide.
-        assert_eq!(
-            t.translate_range(
-                id,
-                0x1000 + PAGE_SIZE as u64,
-                4 * PAGE_SIZE,
-                ProtectionTag(7),
-                Access::Local,
-                &mut runs
-            ),
-            Err(ViaError::OutOfBounds)
-        );
+        // Bounds and tag still enforced, now span-wide — also when the
+        // span's end wraps the address space or its length is absurd.
+        for (addr, len) in [
+            (0x1000 + PAGE_SIZE as u64, 4 * PAGE_SIZE),
+            (u64::MAX - 10, 100),
+            (0x1000, usize::MAX),
+        ] {
+            assert_eq!(
+                t.translate_range(id, addr, len, ProtectionTag(7), Access::Local, &mut runs),
+                Err(ViaError::OutOfBounds)
+            );
+        }
         assert_eq!(
             t.translate_range(
                 id,

@@ -5,7 +5,7 @@
 use simmem::{prot, Capabilities, Kernel, KernelConfig, MmError, PAGE_SIZE};
 use via::nic::Node;
 use via::tpt::ProtectionTag;
-use via::ViaError;
+use via::{DescOp, Descriptor, ViaError, ViaSystem};
 use vialock::{MemoryRegistry, RegError, StrategyKind};
 
 #[test]
@@ -230,4 +230,109 @@ fn range_wrapping_the_address_space_is_a_typed_error_for_every_strategy() {
         assert_eq!(node.nic.tpt.used_slots(), 0, "{strategy:?}");
         node.check_local_invariants().unwrap();
     }
+}
+
+/// Where a descriptor under test aims its address, relative to the 2-page
+/// region the address names.
+#[derive(Clone, Copy, Debug)]
+enum Aim {
+    Base,
+    /// In `u64`, but a page past the region's end: the ordinary refusal.
+    PastEnd,
+    Abs(u64),
+}
+
+/// Run one operation between two fresh nodes with the span under test in
+/// the slot a hostile or buggy poster controls — the local segment of a
+/// send or receive, the remote address of an RDMA write, read or CAS (the
+/// one-sided operations also claim `len` bytes) — and report everything
+/// observable: the pump's result, both completion queues, refusals and
+/// payload allocations. The invariant audit (pin census, pool ledger)
+/// runs here.
+fn span_outcome(op: DescOp, aim: Aim, len: usize) -> String {
+    let mut sys = ViaSystem::new(2, KernelConfig::small(), StrategyKind::KiobufReliable);
+    let tag = ProtectionTag(3);
+    let mut ends = Vec::new();
+    for n in 0..2 {
+        let pid = sys.spawn_process(n);
+        let vi = sys.create_vi(n, pid, tag).unwrap();
+        let buf = sys
+            .mmap(n, pid, 2 * PAGE_SIZE, prot::READ | prot::WRITE)
+            .unwrap();
+        let mem = sys
+            .node_mut(n)
+            .register_mem_attrs(pid, buf, 2 * PAGE_SIZE, tag, true, true)
+            .unwrap();
+        ends.push((vi, mem, buf));
+    }
+    let [(va, ma, ba), (vb, mb, bb)] = ends[..] else {
+        unreachable!()
+    };
+    sys.connect((0, va), (1, vb)).unwrap();
+    let at = |base: u64| match aim {
+        Aim::Base => base,
+        Aim::PastEnd => base + 3 * PAGE_SIZE as u64,
+        Aim::Abs(a) => a,
+    };
+    match op {
+        DescOp::Send => {
+            sys.post_recv(1, vb, mb, bb, 2 * PAGE_SIZE).unwrap();
+            sys.post_send(0, va, ma, at(ba), len).unwrap();
+        }
+        DescOp::Recv => {
+            sys.post_recv(1, vb, mb, at(bb), len).unwrap();
+            sys.post_send(0, va, ma, ba, 64).unwrap();
+        }
+        DescOp::RdmaWrite => sys.post_rdma_write(0, va, ma, ba, len, mb, at(bb)).unwrap(),
+        DescOp::RdmaRead => sys.post_rdma_read(0, va, ma, ba, len, mb, at(bb)).unwrap(),
+        DescOp::AtomicCas => sys
+            .post_send_desc(0, va, Descriptor::atomic_cas(ma, ba, mb, at(bb), 0, 1))
+            .unwrap(),
+    }
+    let pumped = sys.pump();
+    let cqs = [sys.poll_cq(0, va).unwrap(), sys.poll_cq(1, vb).unwrap()];
+    let stats = [0, 1].map(|n| sys.node(n).nic.stats);
+    let counts = stats.map(|s| (s.protection_errors, s.payload_allocs));
+    sys.check_invariants()
+        .unwrap_or_else(|e| panic!("{op:?} {aim:?} {len}: {e}"));
+    format!("{pumped:?} {cqs:?} {counts:?}")
+}
+
+#[test]
+fn wrapping_and_oversized_spans_are_refused_like_ordinary_out_of_range_ones() {
+    // `addr + len` wraps u64, or `len` dwarfs the host's memory: each must
+    // end exactly as the in-range-of-u64 refusal beside it does — typed,
+    // nothing allocated for the claimed length, ledgers balanced.
+    let cases = [
+        ((Aim::Abs(u64::MAX - 10), 100), (Aim::PastEnd, 100)),
+        ((Aim::Base, 1usize << 45), (Aim::Base, 3 * PAGE_SIZE)),
+        ((Aim::Base, usize::MAX), (Aim::Base, 3 * PAGE_SIZE)),
+    ];
+    for op in [
+        DescOp::Send,
+        DescOp::Recv,
+        DescOp::RdmaWrite,
+        DescOp::RdmaRead,
+    ] {
+        for ((aim, len), (plain_aim, plain_len)) in cases {
+            let got = span_outcome(op, aim, len);
+            assert_eq!(
+                got,
+                span_outcome(op, plain_aim, plain_len),
+                "{op:?} {aim:?} {len}"
+            );
+            // A receive only places the bytes that arrive, so an over-long
+            // receive buffer claim is harmless; everything else is refused.
+            let harmless = op == DescOp::Recv && matches!(aim, Aim::Base);
+            assert_eq!(
+                got.contains("OutOfBounds") || got.contains("ProtectionError"),
+                !harmless,
+                "{op:?} {aim:?} {len}: {got}"
+            );
+        }
+    }
+    // The CAS operand is a fixed aligned word; only its address can wrap.
+    let got = span_outcome(DescOp::AtomicCas, Aim::Abs(u64::MAX - 7), 8);
+    assert_eq!(got, span_outcome(DescOp::AtomicCas, Aim::PastEnd, 8));
+    assert!(got.contains("ProtectionError"), "{got}");
 }

@@ -5,7 +5,9 @@
 //! * registry pin counts always equal the sum of live registrations;
 //! * frames are conserved (free + mapped + pinned + orphaned accounts for
 //!   every frame);
-//! * the message layer delivers random payloads intact across protocols.
+//! * the message layer delivers random payloads intact across protocols;
+//! * the NIC's one DMA walker moves the bytes, and refuses the spans, that a
+//!   per-page reference does — for eager and on-demand registration alike.
 
 #![allow(clippy::needless_range_loop)] // page/rank indices are semantic
 
@@ -407,6 +409,354 @@ proptest! {
             let mut out = vec![0u8; len];
             c.read_buffer(1, rbuf, &mut out).unwrap();
             prop_assert_eq!(out, data);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The NIC's one DMA walker against the per-page path it replaced
+// ---------------------------------------------------------------------
+
+mod dma_reference {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+    use simmem::{prot, KernelConfig, Pid, PAGE_SIZE};
+    use via::descriptor::{DataSeg, RdmaSeg};
+    use via::tpt::{Access, ProtectionTag};
+    use via::vi::Reliability;
+    use via::{DescOp, DescStatus, Descriptor, ViId, ViaError, ViaSystem};
+    use vialock::StrategyKind;
+
+    const PAGES: usize = 6;
+    const AREA: usize = PAGES * PAGE_SIZE;
+    const TAG: ProtectionTag = ProtectionTag(9);
+    /// Offsets are generated from `SLACK` bytes before a region's start.
+    const SLACK: usize = 64;
+
+    /// (region 0 or 1, offset from `SLACK` bytes before its start, length).
+    type SegSpec = (usize, usize, usize);
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        SendRecv(Vec<SegSpec>, Vec<SegSpec>),
+        Write(Vec<SegSpec>, SegSpec),
+        Read(Vec<SegSpec>, SegSpec),
+    }
+
+    fn seg() -> impl Strategy<Value = SegSpec> {
+        // Start: a region's first byte, inside its first page (twice as
+        // likely), its first half, anywhere, its last page and just past the
+        // end, before the start.
+        let off = prop_oneof![
+            Just(SLACK),
+            SLACK..SLACK + PAGE_SIZE,
+            SLACK..SLACK + PAGE_SIZE,
+            SLACK..SLACK + AREA / 2,
+            SLACK..SLACK + AREA,
+            SLACK + AREA - PAGE_SIZE..SLACK + AREA + 32,
+            0..SLACK,
+        ];
+        // Length: nothing, sub-page (twice as likely), around one page,
+        // page-crossing.
+        let len = prop_oneof![
+            Just(0usize),
+            1usize..300,
+            1usize..300,
+            PAGE_SIZE - 8..PAGE_SIZE + 8,
+            1..2 * PAGE_SIZE,
+            1..3 * PAGE_SIZE,
+        ];
+        (0usize..2, off, len)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let segs = || prop::collection::vec(seg(), 1..4);
+        prop_oneof![
+            (segs(), segs()).prop_map(|(s, r)| Op::SendRecv(s, r)),
+            (segs(), seg()).prop_map(|(l, r)| Op::Write(l, r)),
+            (segs(), seg()).prop_map(|(l, r)| Op::Read(l, r)),
+        ]
+    }
+
+    /// What the per-page path decided about one span: walk it a page at a
+    /// time through the public [`via::Tpt::translate`] (bounds, tag, RDMA
+    /// attribute), and let a refusal anywhere refuse the whole span before
+    /// a byte moves — a byte out of bounds ahead of any other refusal, as
+    /// bounds are the span's first check. `translate` vouches for one byte,
+    /// so each page's piece is asked about at both ends (the deleted path
+    /// asked about the first only, and let a span run past the end of a
+    /// region that stops mid-page). A non-resident on-demand page is a
+    /// valid page: the kernel agent pins it when the NIC touches it.
+    fn span_ok(sys: &ViaSystem, n: usize, s: &DataSeg, access: Access) -> Result<(), ViaError> {
+        let (mut addr, mut left) = (s.addr, s.len);
+        let mut verdict = Ok(());
+        while left > 0 {
+            let piece = left.min(PAGE_SIZE - addr as usize % PAGE_SIZE);
+            for byte in [addr, addr + piece as u64 - 1] {
+                match sys.node(n).nic.tpt.translate(s.mem, byte, TAG, access) {
+                    Ok(_) | Err(ViaError::NotResident { .. }) => {}
+                    Err(ViaError::OutOfBounds) => return Err(ViaError::OutOfBounds),
+                    Err(e) => verdict = verdict.and(Err(e)),
+                }
+            }
+            addr += piece as u64;
+            left -= piece;
+        }
+        verdict
+    }
+
+    fn total(segs: &[DataSeg]) -> usize {
+        segs.iter().map(|s| s.len).sum()
+    }
+
+    fn desc(op: DescOp, segs: &[DataSeg], rdma: Option<&DataSeg>) -> Descriptor {
+        Descriptor {
+            op,
+            segs: segs.to_vec(),
+            rdma: rdma.map(|r| RdmaSeg {
+                remote_mem: r.mem,
+                remote_addr: r.addr,
+            }),
+            imm: None,
+            cas: None,
+            status: DescStatus::Pending,
+            done_len: 0,
+        }
+    }
+
+    /// Two connected nodes; on each, two 6-page areas whose pages were first
+    /// touched in a scrambled order (so their frames fragment), one region
+    /// registered over all of area 0 and one inset by a few bytes in area 1.
+    struct World {
+        sys: ViaSystem,
+        /// Per node: the process, its VI, the two areas' first bytes and
+        /// the region registered in each.
+        pid: Vec<Pid>,
+        vi: Vec<ViId>,
+        area: Vec<[u64; 2]>,
+        region: Vec<[DataSeg; 2]>,
+        /// Receives posted on node 1 and reads parked on node 0, oldest
+        /// first: a refused send or read leaves its descriptor queued for
+        /// the next message.
+        recv_q: VecDeque<Vec<DataSeg>>,
+        parked: VecDeque<Vec<DataSeg>>,
+    }
+
+    type Memory = [[Vec<u8>; 2]; 2];
+
+    impl World {
+        fn new(
+            strategy: StrategyKind,
+            reliable: bool,
+            mut scramble: u64,
+            rdma: (bool, bool),
+        ) -> World {
+            let mut sys = ViaSystem::new(2, KernelConfig::small(), strategy);
+            let (mut pid, mut vi, mut area, mut region) = (vec![], vec![], vec![], vec![]);
+            for n in 0..2 {
+                let p = sys.spawn_process(n);
+                area.push([0, 1].map(|_| sys.mmap(n, p, AREA, prot::READ | prot::WRITE).unwrap()));
+                let mut order: Vec<usize> = (0..2 * PAGES).collect();
+                for i in (1..order.len()).rev() {
+                    scramble = scramble
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    order.swap(i, (scramble >> 33) as usize % (i + 1));
+                }
+                for pg in order {
+                    let fill: Vec<u8> = (0..PAGE_SIZE)
+                        .map(|j| (j * 7 + pg * 13 + n * 101) as u8)
+                        .collect();
+                    let addr = area[n][pg / PAGES] + (pg % PAGES * PAGE_SIZE) as u64;
+                    sys.write_user(n, p, addr, &fill).unwrap();
+                }
+                // Only node 1 is an RDMA target; its inset region takes the
+                // generated enables.
+                let spans = [
+                    (area[n][0], AREA, (true, true)),
+                    (area[n][1] + 40, AREA - 100, rdma),
+                ];
+                region.push(spans.map(|(addr, len, (w, r))| {
+                    let mem = sys
+                        .node_mut(n)
+                        .register_mem_attrs(p, addr, len, TAG, w, r)
+                        .unwrap();
+                    DataSeg { mem, addr, len }
+                }));
+                vi.push(sys.create_vi(n, p, TAG).unwrap());
+                pid.push(p);
+            }
+            sys.connect((0, vi[0]), (1, vi[1])).unwrap();
+            if !reliable {
+                for n in 0..2 {
+                    sys.set_reliability(n, vi[n], Reliability::Unreliable)
+                        .unwrap();
+                }
+            }
+            World {
+                sys,
+                pid,
+                vi,
+                area,
+                region,
+                recv_q: VecDeque::new(),
+                parked: VecDeque::new(),
+            }
+        }
+
+        fn seg(&self, n: usize, (r, off, len): SegSpec) -> DataSeg {
+            let region = self.region[n][r];
+            DataSeg {
+                addr: region.addr + off as u64 - SLACK as u64,
+                len,
+                ..region
+            }
+        }
+
+        fn segs(&self, n: usize, specs: &[SegSpec]) -> Vec<DataSeg> {
+            specs.iter().map(|&s| self.seg(n, s)).collect()
+        }
+
+        /// Both areas of both nodes as the CPU sees them.
+        fn memory(&mut self) -> Memory {
+            [0, 1].map(|n| {
+                [0, 1].map(|a| {
+                    let mut out = vec![0u8; AREA];
+                    self.sys
+                        .read_user(n, self.pid[n], self.area[n][a], &mut out)
+                        .unwrap();
+                    out
+                })
+            })
+        }
+
+        /// The reference gather: the list's verdict, then its bytes in order.
+        fn take(&mut self, n: usize, segs: &[DataSeg], a: Access) -> Result<Vec<u8>, ViaError> {
+            segs.iter().try_for_each(|s| span_ok(&self.sys, n, s, a))?;
+            let mut out = Vec::new();
+            for s in segs {
+                let mut b = vec![0u8; s.len];
+                self.sys.read_user(n, self.pid[n], s.addr, &mut b).unwrap();
+                out.extend(b);
+            }
+            Ok(out)
+        }
+
+        /// The reference scatter into node `n`'s half of `mem`: the list is
+        /// cut off where `data` ends (only what arrived is placed), judged,
+        /// then written; returns the bytes placed.
+        fn land(
+            &self,
+            mem: &mut Memory,
+            n: usize,
+            segs: &[DataSeg],
+            data: &[u8],
+            a: Access,
+        ) -> Result<usize, ViaError> {
+            let mut left = data.len();
+            let cut: Vec<DataSeg> = segs
+                .iter()
+                .map_while(|s| {
+                    let (more, len) = (left > 0, s.len.min(left));
+                    left -= len;
+                    more.then_some(DataSeg { len, ..*s })
+                })
+                .collect();
+            cut.iter().try_for_each(|s| span_ok(&self.sys, n, s, a))?;
+            let mut at = 0;
+            // An empty segment is valid wherever it points: skip it.
+            for s in cut.iter().filter(|s| s.len > 0) {
+                let area = (s.mem == self.region[n][1].mem) as usize;
+                let off = (s.addr - self.area[n][area]) as usize;
+                mem[n][area][off..off + s.len].copy_from_slice(&data[at..at + s.len]);
+                at += s.len;
+            }
+            Ok(at)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dma_walker_agrees_with_the_per_page_reference(
+            setup in (any::<bool>(), any::<bool>(), any::<u64>(), (any::<bool>(), any::<bool>())),
+            ops in prop::collection::vec(op(), 1..7),
+        ) {
+            use DescOp::{RdmaRead, RdmaWrite, Recv, Send};
+            use DescStatus::{Done, Dropped, ProtectionError};
+            let (on_demand, reliable, scramble, rdma) = setup;
+            let strategy = if on_demand { StrategyKind::OnDemand } else { StrategyKind::KiobufReliable };
+            let mut w = World::new(strategy, reliable, scramble, rdma);
+            for op in &ops {
+                // Everything expected is worked out before the fabric moves.
+                let mut want = w.memory();
+                let mut want_cq: [Vec<(DescOp, DescStatus, usize)>; 2] = Default::default();
+                let mut want_err = None;
+                match op {
+                    Op::SendRecv(send, recv) => {
+                        let (s, r) = (w.segs(0, send), w.segs(1, recv));
+                        w.sys.post_recv_desc(1, w.vi[1], desc(Recv, &r, None)).unwrap();
+                        w.recv_q.push_back(r);
+                        w.sys.post_send_desc(0, w.vi[0], desc(Send, &s, None)).unwrap();
+                        if let Ok(data) = w.take(0, &s, Access::Local) {
+                            want_cq[0].push((Send, Done, data.len()));
+                            let r = w.recv_q.pop_front().unwrap();
+                            if reliable && total(&r) < data.len() {
+                                want_cq[1].push((Recv, Dropped, 0));
+                                want_err = Some(ViaError::RecvTooSmall { need: data.len(), have: total(&r) });
+                            } else {
+                                match w.land(&mut want, 1, &r, &data, Access::Local) {
+                                    Ok(n) => want_cq[1].push((Recv, Done, n)),
+                                    Err(e) => want_err = Some(e),
+                                }
+                            }
+                        } else {
+                            want_cq[0].push((Send, ProtectionError, 0));
+                        }
+                    }
+                    Op::Write(local, remote) => {
+                        let (s, t) = (w.segs(0, local), w.seg(1, *remote));
+                        w.sys.post_send_desc(0, w.vi[0], desc(RdmaWrite, &s, Some(&t))).unwrap();
+                        if let Ok(data) = w.take(0, &s, Access::Local) {
+                            want_cq[0].push((RdmaWrite, Done, data.len()));
+                            let t = [DataSeg { len: data.len(), ..t }];
+                            want_err = w.land(&mut want, 1, &t, &data, Access::RdmaWrite).err();
+                        } else {
+                            want_cq[0].push((RdmaWrite, ProtectionError, 0));
+                        }
+                    }
+                    Op::Read(local, remote) => {
+                        let (d, t) = (w.segs(0, local), w.seg(1, *remote));
+                        w.sys.post_send_desc(0, w.vi[0], desc(RdmaRead, &d, Some(&t))).unwrap();
+                        let t = [DataSeg { len: total(&d), ..t }];
+                        w.parked.push_back(d);
+                        // The answer lands in the oldest parked read.
+                        let landed = w.take(1, &t, Access::RdmaRead).and_then(|data| {
+                            let d = w.parked.pop_front().unwrap();
+                            w.land(&mut want, 0, &d, &data, Access::Local)
+                        });
+                        match landed {
+                            Ok(n) => want_cq[0].push((RdmaRead, Done, n)),
+                            Err(e) => want_err = Some(e),
+                        }
+                    }
+                }
+                prop_assert_eq!(w.sys.pump().err(), want_err.clone(), "{:?}", op);
+                for n in 0..2 {
+                    let mut cq = Vec::new();
+                    while let Some(c) = w.sys.poll_cq(n, w.vi[n]).unwrap() {
+                        cq.push((c.op, c.status, c.len));
+                    }
+                    prop_assert_eq!(&cq, &want_cq[n], "node {} after {:?}", n, op);
+                }
+                prop_assert!(w.memory() == want, "memory differs after {:?}", op);
+                if matches!(want_err, Some(ViaError::RecvTooSmall { .. })) {
+                    break; // a reliable connection does not survive that
+                }
+            }
+            prop_assert!(w.sys.check_invariants().is_ok(), "{:?}", w.sys.check_invariants());
         }
     }
 }
