@@ -9,9 +9,10 @@
 //!   an allowlisted stats-counter module.
 //! * **R3 `datapath-no-panic`** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in the datapath modules
-//!   (`spsc.rs`, `nic.rs`, `ring.rs`, `tpt.rs`) outside `#[cfg(test)]`
-//!   regions. A NIC fault must surface as a typed completion error, never a
-//!   process abort.
+//!   (`spsc.rs`, `nic.rs`, `ring.rs`, `tpt.rs`, and the page stealer and
+//!   swap device they reach through an on-demand repin: `reclaim.rs`,
+//!   `swap.rs`) outside `#[cfg(test)]` regions. A NIC fault must surface as
+//!   a typed completion error, never a process abort.
 //! * **R4 `completion-choke-point`** — in `crates/via/src`, completions are
 //!   pushed onto a CQ (`cq.push…`) only inside `fn push_completion`: the
 //!   single choke point where CQ-overflow policy and doorbells live.
@@ -35,6 +36,11 @@ const DATAPATH: &[&str] = &[
     // The translation core runs on every descriptor, with addresses and
     // lengths a peer chose.
     "crates/via/src/tpt.rs",
+    // The stealer and the swap device run inside `Node::resolve` →
+    // `repin_page` → `lazy_pin_page` on every on-demand DMA that faults: a
+    // broken index there is a `debug_assert` and a typed `None`.
+    "crates/simmem/src/reclaim.rs",
+    "crates/simmem/src/swap.rs",
 ];
 
 const PANIC_PATTERNS: &[&str] = &[
@@ -411,8 +417,15 @@ mod tests {
         let f = scan_source("crates/via/src/spsc.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 2);
-        // The translation core is a datapath module too.
-        assert_eq!(scan_source("crates/via/src/tpt.rs", src).len(), 1);
+        // The translation core is a datapath module too, and so are the
+        // stealer and the swap device an on-demand repin runs.
+        for path in [
+            "crates/via/src/tpt.rs",
+            "crates/simmem/src/reclaim.rs",
+            "crates/simmem/src/swap.rs",
+        ] {
+            assert_eq!(scan_source(path, src).len(), 1, "{path}");
+        }
         // Non-datapath files are exempt from R3.
         assert!(scan_source("crates/via/src/other.rs", src).is_empty());
     }

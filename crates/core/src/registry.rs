@@ -290,21 +290,18 @@ impl MemoryRegistry {
         // pin_on_access would double-pin). A slot is stale only if the
         // kernel no longer backs it: the pin was dissolved or the mapping
         // moved off the frame.
-        let handles: Vec<MemHandle> = self.ledger.keys().copied().collect();
-        for handle in handles {
-            let Ok((pid, page_base)) = self.regions.get(handle).map(|r| (r.pid, r.page_base))
-            else {
+        for (handle, entry) in &mut self.ledger {
+            let Ok(region) = self.regions.get(*handle) else {
                 continue;
             };
-            let entry = self.ledger.get_mut(&handle).expect("ledger key");
             for (page, slot) in entry.iter_mut().enumerate() {
                 let Some(f) = *slot else { continue };
                 if !frames.contains(&f) {
                     continue;
                 }
-                let addr = page_base + (page * PAGE_SIZE) as u64;
+                let addr = region.page_base + (page * PAGE_SIZE) as u64;
                 let live = kernel.lazy_pin_count(f) > 0
-                    && kernel.frame_of(pid, addr).ok().flatten() == Some(f);
+                    && kernel.frame_of(region.pid, addr).ok().flatten() == Some(f);
                 if !live {
                     *slot = None;
                     self.stats.pages_unpinned += 1;

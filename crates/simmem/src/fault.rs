@@ -67,6 +67,17 @@ impl Kernel {
                 let shared = self.pagemap.get(frame).count() > 1 + lazy || frame == self.zero_frame;
                 if shared {
                     let new = self.get_free_frame()?;
+                    // The allocation may have run the stealer, and the
+                    // stealer may have taken this very page (2.2 re-checks
+                    // the PTE after `__get_free_page` for the same reason).
+                    // Then the reference on `frame` is no longer this
+                    // mapping's to drop — `frame` may even be `new`: give
+                    // the allocation back and take the fault again, as the
+                    // swap-in it has become.
+                    if self.process(pid)?.mm.pte(vpn).and_then(Pte::frame) != Some(frame) {
+                        self.put_frame(new);
+                        return self.fault_in(pid, addr, write);
+                    }
                     self.phys.copy_frame(frame, new);
                     // A genuine COW break moves this mapping off the old
                     // frame. Any on-demand pins there belong to a
@@ -129,11 +140,7 @@ impl Kernel {
                     return Err(MmError::SwapIoError);
                 }
                 let new = self.get_free_frame()?;
-                // Borrow dance: read the slot into a stack page, then into
-                // the frame.
-                let mut page = [0u8; crate::PAGE_SIZE];
-                self.swap.swap_in(slot, &mut page)?;
-                self.phys.frame_mut(new).copy_from_slice(&page);
+                self.swap.swap_in(slot, self.phys.frame_mut(new))?;
                 self.pagemap.get_mut(new).rmap = Some(RMap { pid, vpn });
                 self.process_mut(pid)?
                     .mm
@@ -238,6 +245,50 @@ mod tests {
         // The re-pin lands on the live frame and counts as a repin.
         assert_eq!(k.lazy_pin_page(parent, a).unwrap(), f_new);
         assert_eq!(k.mm_stats().repins, 1);
+    }
+
+    #[test]
+    fn cow_survives_the_stealer_taking_the_faulting_page() {
+        // Found by the stealer differential: a COW fault allocates, the
+        // allocation reclaims, and the reclaim evicts the page being
+        // copied — here the freed frame even comes straight back as the
+        // copy's destination. The fault used to go on with the stale PTE
+        // (`copy_frame` onto itself, or a reference dropped twice).
+        let mut k = Kernel::new(KernelConfig {
+            nframes: 16,
+            reserved_frames: 2,
+            swap_slots: 64,
+            default_rlimit_memlock: None,
+            swap_cache: false,
+        });
+        let parent = k.spawn_process(Capabilities::default());
+        let a = k
+            .mmap_anon(parent, PAGE_SIZE, prot::READ | prot::WRITE)
+            .unwrap();
+        k.write_user(parent, a, b"before").unwrap();
+        let child = k.fork(parent).unwrap();
+        // Fill memory exactly: the free list is empty and the stealer has
+        // not run yet.
+        let hog = k.spawn_process(Capabilities::default());
+        let room = k.free_frames();
+        let h = k
+            .mmap_anon(hog, room * PAGE_SIZE, prot::READ | prot::WRITE)
+            .unwrap();
+        k.touch_pages(hog, h, room * PAGE_SIZE, true).unwrap();
+        assert_eq!((k.free_frames(), k.mm_stats().reclaim_passes), (0, 0));
+
+        k.write_user(parent, a, b"after!").unwrap();
+        assert!(k.mm_stats().reclaim_passes > 0);
+        let mut out = [0u8; 6];
+        k.read_user(parent, a, &mut out).unwrap();
+        assert_eq!(&out, b"after!");
+        k.read_user(child, a, &mut out).unwrap();
+        assert_eq!(&out, b"before");
+        k.check_invariants().unwrap();
+        k.exit_process(parent).unwrap();
+        k.exit_process(child).unwrap();
+        k.exit_process(hog).unwrap();
+        assert_eq!(k.free_frames(), 16 - 2 - 1, "every reference accounted for");
     }
 
     #[test]

@@ -149,6 +149,10 @@ pub struct Kernel {
     pub(crate) repin_pending: std::collections::HashSet<(Pid, crate::Vpn)>,
     pub stats: MmCounters,
     pub config: KernelConfig,
+    /// Run the collect-then-scan reference stealer instead of the in-place
+    /// walk (the differential test in `reclaim`).
+    #[cfg(test)]
+    pub(crate) oracle_stealer: bool,
 }
 
 impl Kernel {
@@ -196,6 +200,8 @@ impl Kernel {
             repin_pending: std::collections::HashSet::new(),
             stats: MmCounters::default(),
             config,
+            #[cfg(test)]
+            oracle_stealer: false,
         }
     }
 
@@ -285,7 +291,12 @@ impl Kernel {
             dontfork: false,
         };
         let proc = self.process_mut(pid)?;
-        let start = proc.mm.find_free_range(len as u64);
+        // `len` is the caller's: rounded up and placed, it must still end
+        // inside the address space.
+        let start = proc
+            .mm
+            .find_free_range(len as u64)
+            .ok_or(MmError::InvalidArgument("mmap wraps the address space"))?;
         let end = start + crate::page_align_up(len as u64);
         proc.mm.vmas.insert(VmArea { start, end, flags })?;
         Ok(start)
@@ -297,7 +308,12 @@ impl Kernel {
         if addr & PAGE_MASK != 0 {
             return Err(MmError::InvalidArgument("unaligned munmap"));
         }
-        let end = crate::page_align_up(addr + len as u64);
+        let end = addr
+            .checked_add(len as u64)
+            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
+            .ok_or(MmError::InvalidArgument(
+                "munmap range wraps the address space",
+            ))?;
         let removed = {
             let proc = self.process_mut(pid)?;
             proc.mm.vmas.remove_range(addr, end)
@@ -585,7 +601,12 @@ impl Kernel {
         let len = frames.len() * PAGE_SIZE;
         let start = {
             let proc = self.process_mut(pid)?;
-            let start = proc.mm.find_free_range(len as u64);
+            let start = proc
+                .mm
+                .find_free_range(len as u64)
+                .ok_or(MmError::InvalidArgument(
+                    "map_frames wraps the address space",
+                ))?;
             proc.mm.vmas.insert(VmArea {
                 start,
                 end: start + len as u64,
@@ -858,6 +879,45 @@ impl Kernel {
         self.swap_cache.len()
     }
 
+    /// The kernel census: the derived structures against what they are
+    /// derived from. Each address space's present index equals a recount
+    /// of its page table; the swap device accounts for every slot; every
+    /// swapped PTE names an occupied slot; every swap-cache entry names a
+    /// live frame that names the slot back. `&self`, so it runs from every
+    /// layer's invariant audit.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.swap.check_invariants()?;
+        for proc in self.procs.values() {
+            let pid = proc.pid.0;
+            proc.mm
+                .check_invariants()
+                .map_err(|e| format!("pid {pid}: {e}"))?;
+            for (vpn, pte) in proc.mm.ptes_in(0, u64::MAX) {
+                if let Pte::Swapped { slot } = pte {
+                    if self.swap.peek(*slot).is_none() {
+                        return Err(format!(
+                            "pid {pid} page {vpn:#x} is swapped to empty slot {}",
+                            slot.0
+                        ));
+                    }
+                }
+            }
+        }
+        for (&slot, &frame) in &self.swap_cache {
+            let d = self.pagemap.get(frame);
+            if d.count() == 0 || d.swap_slot != Some(slot) {
+                return Err(format!(
+                    "swap-cache entry slot {} -> frame {} is stale (count {}, frame's slot {:?})",
+                    slot.0,
+                    frame.0,
+                    d.count(),
+                    d.swap_slot
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Coherent value snapshot of the live atomic counters — the reporting
     /// accessor; diff two snapshots with [`MmStats::since`].
     pub fn mm_stats(&self) -> MmStats {
@@ -982,6 +1042,49 @@ mod tests {
         assert_eq!(k.free_frames(), free0 - 4);
         k.munmap(pid, a, 4 * PAGE_SIZE).unwrap();
         assert_eq!(k.free_frames(), free0);
+    }
+
+    #[test]
+    fn wrapping_ranges_are_refused_typed() {
+        // Ranges whose page-aligned end does not fit the address space used
+        // to panic in debug builds and, wrapped, unmap nothing (or trip
+        // `BTreeMap::range`) in release builds. Run under both profiles.
+        let mut k = Kernel::new(KernelConfig::small());
+        let pid = k.spawn_process(Capabilities::default());
+        let a = k
+            .mmap_anon(pid, 2 * PAGE_SIZE, prot::READ | prot::WRITE)
+            .unwrap();
+        k.touch_pages(pid, a, 2 * PAGE_SIZE, true).unwrap();
+        let top = 0xFFFF_FFFF_FFFF_F000u64;
+        for (addr, len) in [
+            (top, 2 * PAGE_SIZE),
+            (top, PAGE_SIZE + 1),
+            (a, usize::MAX),
+            (a, usize::MAX - 100),
+            (0, usize::MAX),
+        ] {
+            assert!(
+                matches!(k.munmap(pid, addr, len), Err(MmError::InvalidArgument(_))),
+                "munmap({addr:#x}, {len:#x})"
+            );
+        }
+        for len in [usize::MAX, usize::MAX - 100, usize::MAX - PAGE_SIZE + 1] {
+            assert!(
+                matches!(
+                    k.mmap_anon(pid, len, prot::READ),
+                    Err(MmError::InvalidArgument(_))
+                ),
+                "mmap_anon({len:#x})"
+            );
+        }
+        // Nothing was unmapped or mapped along the way, and the highest
+        // range whose end is still an address is an ordinary (empty) one.
+        assert_eq!(k.rss(pid).unwrap(), 2);
+        assert_eq!(k.process(pid).unwrap().mm.vmas.count(), 1);
+        k.munmap(pid, top - PAGE_SIZE as u64, PAGE_SIZE).unwrap();
+        k.munmap(pid, a, 2 * PAGE_SIZE).unwrap();
+        assert_eq!(k.rss(pid).unwrap(), 0);
+        k.check_invariants().unwrap();
     }
 
     #[test]

@@ -145,3 +145,6 @@ mod lib_tests {
 
 #[cfg(test)]
 mod swapcache_tests;
+
+#[cfg(test)]
+mod stealer_diff_tests;

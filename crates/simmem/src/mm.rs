@@ -1,6 +1,6 @@
 //! Per-process address space: page table + VMA set (`struct mm_struct`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{FrameId, SlotId, VmaSet, PAGE_SHIFT};
 
@@ -50,14 +50,25 @@ impl Pte {
 
 /// Address space of one process: VMAs plus a sparse page table.
 ///
-/// A `BTreeMap` keyed by VPN stands in for the multi-level page-table tree;
-/// ordered iteration gives us the same walk order `swap_out_vma` uses.
+/// A `BTreeMap` keyed by VPN stands in for the multi-level page-table tree.
+/// The walk order `swap_out_vma` uses — ascending VPN — comes from the
+/// ordered `present` index beside it, which holds only what the stealer can
+/// take: a VMA that is mostly swap entries costs the scan nothing.
 #[derive(Debug, Default)]
 pub struct AddressSpace {
     pub vmas: VmaSet,
     ptes: BTreeMap<Vpn, Pte>,
+    /// The VPNs whose PTE is [`Pte::Present`], derived from `ptes` and
+    /// maintained only by [`AddressSpace::set_pte`] and
+    /// [`AddressSpace::clear_pte`] — nothing else can change presence.
+    /// Makes the RSS a length and "first resident page at or after `v`" a
+    /// range lookup; `Kernel::check_invariants` recounts it.
+    present: BTreeSet<Vpn>,
     /// Bump pointer for `mmap` placement (the simulated `TASK_UNMAPPED_BASE`).
     pub mmap_base: VirtAddr,
+    /// PTEs the stealer's scan looked at (the cost the index bounds).
+    #[cfg(test)]
+    pub(crate) ptes_scanned: u64,
 }
 
 /// Where anonymous mappings begin; mirrors `TASK_UNMAPPED_BASE` on i386.
@@ -68,7 +79,10 @@ impl AddressSpace {
         AddressSpace {
             vmas: VmaSet::new(),
             ptes: BTreeMap::new(),
+            present: BTreeSet::new(),
             mmap_base: TASK_UNMAPPED_BASE,
+            #[cfg(test)]
+            ptes_scanned: 0,
         }
     }
 
@@ -82,18 +96,27 @@ impl AddressSpace {
         self.ptes.get(&vpn)
     }
 
+    /// Edit the bits of an entry in place. Crate-private because presence
+    /// must not change through it: a `Present` entry stays `Present` on the
+    /// same VPN, or the `present` index goes stale.
     #[inline]
-    pub fn pte_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
+    pub(crate) fn pte_mut(&mut self, vpn: Vpn) -> Option<&mut Pte> {
         self.ptes.get_mut(&vpn)
     }
 
     #[inline]
     pub fn set_pte(&mut self, vpn: Vpn, pte: Pte) {
+        if matches!(pte, Pte::Present { .. }) {
+            self.present.insert(vpn);
+        } else {
+            self.present.remove(&vpn);
+        }
         self.ptes.insert(vpn, pte);
     }
 
     #[inline]
     pub fn clear_pte(&mut self, vpn: Vpn) -> Option<Pte> {
+        self.present.remove(&vpn);
         self.ptes.remove(&vpn)
     }
 
@@ -102,53 +125,90 @@ impl AddressSpace {
         self.ptes.range(from..to).map(|(k, v)| (*k, v))
     }
 
-    /// Collect VPNs of present pages inside `[from, to)` — the stealer's
-    /// candidate list for one VMA.
-    pub fn present_vpns_in(&self, from: Vpn, to: Vpn) -> Vec<Vpn> {
-        self.ptes
-            .range(from..to)
-            .filter(|(_, p)| matches!(p, Pte::Present { .. }))
-            .map(|(k, _)| *k)
-            .collect()
+    /// Number of present pages inside `[from, to)`.
+    pub(crate) fn present_in(&self, from: Vpn, to: Vpn) -> usize {
+        self.present.range(from..to).count()
+    }
+
+    /// One step of the stealer's second-chance scan over `[from, to)`: pass
+    /// over the present pages in address order, clearing the accessed bit
+    /// of every referenced one (its second chance), and stop at the first
+    /// cold page. Returns that page and its frame, or `None` when the
+    /// window holds no cold page; `aged` is set when a bit was cleared.
+    pub(crate) fn age_until_cold(
+        &mut self,
+        from: Vpn,
+        to: Vpn,
+        aged: &mut bool,
+    ) -> Option<(Vpn, FrameId)> {
+        for &vpn in self.present.range(from..to) {
+            #[cfg(test)]
+            {
+                self.ptes_scanned += 1;
+            }
+            let Some(Pte::Present {
+                frame, accessed, ..
+            }) = self.ptes.get_mut(&vpn)
+            else {
+                debug_assert!(false, "present index names a non-present page {vpn:#x}");
+                continue;
+            };
+            if !*accessed {
+                return Some((vpn, *frame));
+            }
+            *accessed = false;
+            *aged = true;
+        }
+        None
     }
 
     /// Number of resident (present) pages — the RSS.
     pub fn rss(&self) -> usize {
-        self.ptes
-            .values()
-            .filter(|p| matches!(p, Pte::Present { .. }))
-            .count()
+        self.present.len()
     }
 
     /// Number of swapped-out pages.
     pub fn swapped(&self) -> usize {
-        self.ptes
-            .values()
-            .filter(|p| matches!(p, Pte::Swapped { .. }))
-            .count()
+        self.ptes.len() - self.present.len()
+    }
+
+    /// The `present` index against a recount of the page table (the
+    /// kernel census, see `Kernel::check_invariants`).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let recount = self
+            .ptes
+            .iter()
+            .filter(|(_, p)| matches!(p, Pte::Present { .. }))
+            .map(|(v, _)| v);
+        if !recount.eq(self.present.iter()) {
+            return Err(format!(
+                "present index ({} pages) disagrees with the page table",
+                self.present.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Pick an unused, page-aligned range of `len` bytes (bump allocation —
-    /// `get_unmapped_area`).
-    pub fn find_free_range(&mut self, len: u64) -> VirtAddr {
-        let len = crate::page_align_up(len);
+    /// `get_unmapped_area`). `None` when no such range fits below the top
+    /// of the address space.
+    pub fn find_free_range(&mut self, len: u64) -> Option<VirtAddr> {
+        let len = len.checked_next_multiple_of(crate::PAGE_SIZE as u64)?;
         // Scan forward from the bump pointer past any existing VMAs.
         let mut start = self.mmap_base;
         loop {
-            let end = start + len;
+            let end = start.checked_add(len)?;
             if !self.vmas.overlaps(start, end) {
                 self.mmap_base = end;
-                return start;
+                return Some(start);
             }
             // Skip to the end of the blocking VMA.
-            let blocker_end = self
+            start = self
                 .vmas
                 .iter()
                 .filter(|v| v.start < end && v.end > start)
                 .map(|v| v.end)
-                .max()
-                .expect("overlap implies a blocker");
-            start = blocker_end;
+                .max()?;
         }
     }
 }
@@ -185,7 +245,7 @@ mod tests {
     #[test]
     fn free_range_skips_existing() {
         let mut asp = AddressSpace::new();
-        let a = asp.find_free_range(4 * P);
+        let a = asp.find_free_range(4 * P).unwrap();
         asp.vmas
             .insert(VmArea {
                 start: a,
@@ -193,7 +253,7 @@ mod tests {
                 flags: VmFlags::rw(),
             })
             .unwrap();
-        let b = asp.find_free_range(2 * P);
+        let b = asp.find_free_range(2 * P).unwrap();
         assert!(b >= a + 4 * P, "second range placed after the first");
         asp.vmas
             .insert(VmArea {
@@ -206,12 +266,56 @@ mod tests {
     }
 
     #[test]
-    fn present_vpn_walk() {
+    fn present_index_follows_every_presence_change() {
         let mut asp = AddressSpace::new();
         for vpn in [10u64, 11, 13, 20] {
             asp.set_pte(vpn, Pte::present(FrameId(vpn as u32), true));
         }
         asp.set_pte(12, Pte::Swapped { slot: SlotId(9) });
-        assert_eq!(asp.present_vpns_in(10, 14), vec![10, 11, 13]);
+        assert_eq!((asp.rss(), asp.swapped()), (4, 1));
+        assert_eq!(asp.present_in(10, 14), 3);
+        asp.check_invariants().unwrap();
+        // Present → swapped, swapped → present, present → present, gone.
+        asp.set_pte(11, Pte::Swapped { slot: SlotId(3) });
+        asp.set_pte(12, Pte::present(FrameId(2), false));
+        asp.set_pte(13, Pte::present(FrameId(4), true));
+        asp.clear_pte(10);
+        asp.clear_pte(11);
+        assert_eq!((asp.rss(), asp.swapped()), (3, 0));
+        assert_eq!(asp.present_in(10, 14), 2);
+        asp.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn second_chance_scan_ages_what_it_passes() {
+        let mut asp = AddressSpace::new();
+        for vpn in 10u64..16 {
+            asp.set_pte(vpn, Pte::present(FrameId(vpn as u32), true));
+        }
+        asp.set_pte(12, Pte::Swapped { slot: SlotId(0) });
+        let accessed = |asp: &AddressSpace, vpn| {
+            matches!(asp.pte(vpn), Some(Pte::Present { accessed: true, .. }))
+        };
+        if let Some(Pte::Present { accessed, .. }) = asp.pte_mut(13) {
+            *accessed = false;
+        }
+        // 10 and 11 are referenced: aged and passed. 12 is not resident.
+        // 13 is cold: the victim. 14 and 15 are never reached.
+        let mut aged = false;
+        assert_eq!(
+            asp.age_until_cold(10, 16, &mut aged),
+            Some((13, FrameId(13)))
+        );
+        assert!(aged);
+        assert!(!accessed(&asp, 10) && !accessed(&asp, 11));
+        assert!(accessed(&asp, 14) && accessed(&asp, 15));
+        // Nothing cold in a window of referenced pages: all aged, no victim.
+        let mut aged = false;
+        assert_eq!(asp.age_until_cold(14, 16, &mut aged), None);
+        assert!(aged && !accessed(&asp, 14) && !accessed(&asp, 15));
+        // An empty window ages nothing.
+        let mut aged = false;
+        assert_eq!(asp.age_until_cold(100, 200, &mut aged), None);
+        assert!(!aged);
     }
 }

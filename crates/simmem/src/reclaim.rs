@@ -10,6 +10,8 @@
 //!   references, the frame is **orphaned**: never freed, never remapped, and
 //!   any NIC that captured its physical address now DMAs into a stale frame.
 
+use std::ops::Bound;
+
 use crate::mm::AddressSpace;
 use crate::page::PageFlags;
 use crate::stats::CounterCell;
@@ -19,6 +21,18 @@ use crate::{Kernel, Pid, Pte};
 /// up (2.2 used a priority-scaled counter; a full sweep keeps it simple and
 /// deterministic).
 const SWAP_PROCESS_ATTEMPTS: usize = 64;
+
+// The walk below enumerates processes, VMAs and pages *in place*, behind a
+// cursor each, instead of collecting them first. That is the same
+// enumeration: the walk only moves on past a process or VMA that answered
+// `Nothing`, and `Nothing` means no PTE changed — so what a snapshot taken
+// up front would have held is what is still there.
+//
+// Every pass restarts at the first page of the first VMA. Linux 2.2 resumes
+// at `mm->swap_address`; this model never did, and a resume cursor changes
+// which page is taken, which the on-demand workloads are sensitive to
+// (DESIGN.md §19). The order is pinned by `tests/pressure_golden.rs` and by
+// the differential against the collect-then-scan `oracle` below.
 
 impl Kernel {
     /// `try_to_free_pages`: attempt to put at least one frame back on the
@@ -41,31 +55,47 @@ impl Kernel {
         false
     }
 
+    /// The stealer's candidates — processes with resident pages — from
+    /// `from` on, in pid order.
+    fn residents(&self, from: Bound<Pid>) -> impl Iterator<Item = Pid> + '_ {
+        self.procs
+            .range((from, Bound::Unbounded))
+            .filter(|(_, p)| p.mm.rss() > 0)
+            .map(|(&pid, _)| pid)
+    }
+
     /// `swap_out`: pick the next process round-robin (the `swap_cnt`
     /// weighting of 2.2 reduces to fair rotation here) and try to evict one
     /// page from it. Every resident process eventually gets victimized —
     /// which is how the paper's locktest process loses its pages while the
     /// allocator antagonist runs.
     fn swap_out(&mut self) -> SwapOutResult {
-        let mut pids: Vec<Pid> = self
-            .procs
-            .values()
-            .filter(|p| p.mm.rss() > 0)
-            .map(|p| p.pid)
-            .collect();
-        if pids.is_empty() {
+        #[cfg(test)]
+        if self.oracle_stealer {
+            return self.oracle_swap_out();
+        }
+        // The rotor picks where among the candidates this call starts.
+        let n = self.residents(Bound::Unbounded).count();
+        if n == 0 {
             return SwapOutResult::Nothing;
         }
-        pids.sort();
-        let n = pids.len();
-        let start = self.swap_rotor;
-        self.swap_rotor = self.swap_rotor.wrapping_add(1) % n.max(1);
-        for i in 0..n {
-            let pid = pids[(start + i) % n];
+        let start = self.swap_rotor % n;
+        self.swap_rotor = self.swap_rotor.wrapping_add(1) % n;
+        let mut next = self.residents(Bound::Unbounded).nth(start);
+        for _ in 0..n {
+            let Some(pid) = next else {
+                debug_assert!(false, "fewer resident processes than counted");
+                break;
+            };
             match self.swap_out_process(pid) {
-                SwapOutResult::Nothing => continue,
+                SwapOutResult::Nothing => {}
                 r => return r,
             }
+            // Onward in pid order, wrapping to the lowest pid.
+            next = self
+                .residents(Bound::Excluded(pid))
+                .next()
+                .or_else(|| self.residents(Bound::Unbounded).next());
         }
         SwapOutResult::Nothing
     }
@@ -73,27 +103,20 @@ impl Kernel {
     /// `swap_out_process`: walk the VMAs of one process looking for a
     /// stealable page.
     fn swap_out_process(&mut self, pid: Pid) -> SwapOutResult {
-        let vmas: Vec<(u64, u64, bool)> = {
-            let Ok(proc) = self.process(pid) else {
+        let mut at = 0;
+        loop {
+            let Some(mm) = self.procs.get(&pid).map(|p| &p.mm) else {
                 return SwapOutResult::Nothing;
             };
-            proc.mm
-                .vmas
-                .iter()
-                .map(|v| (v.start, v.end, v.flags.locked))
-                .collect()
-        };
-        for (start, end, locked) in vmas {
-            if locked {
+            let Some(vma) = mm.vmas.first_from(at) else {
+                return SwapOutResult::Nothing;
+            };
+            let (start, end) = (vma.start, vma.end);
+            at = end;
+            if vma.flags.locked {
                 // swap_out_vma: skip VM_LOCKED areas wholesale.
-                let present = self
-                    .process(pid)
-                    .map(|p| {
-                        p.mm.present_vpns_in(AddressSpace::vpn(start), AddressSpace::vpn(end))
-                            .len() as u64
-                    })
-                    .unwrap_or(0);
-                self.stats.skipped_vm_locked.add(present);
+                let present = mm.present_in(AddressSpace::vpn(start), AddressSpace::vpn(end));
+                self.stats.skipped_vm_locked.add(present as u64);
                 continue;
             }
             match self.swap_out_vma(pid, start, end) {
@@ -101,71 +124,27 @@ impl Kernel {
                 r => return r,
             }
         }
-        SwapOutResult::Nothing
     }
 
-    /// `swap_out_vma` + `try_to_swap_out`: scan present PTEs with a
-    /// second-chance accessed bit; evict the first cold, unprotected page.
+    /// `swap_out_vma`: scan present PTEs with a second-chance accessed bit;
+    /// evict the first cold, unprotected page.
     fn swap_out_vma(&mut self, pid: Pid, start: u64, end: u64) -> SwapOutResult {
-        let vpns = {
-            let Ok(proc) = self.process(pid) else {
-                return SwapOutResult::Nothing;
-            };
-            proc.mm
-                .present_vpns_in(AddressSpace::vpn(start), AddressSpace::vpn(end))
-        };
+        let (mut at, to) = (AddressSpace::vpn(start), AddressSpace::vpn(end));
         let mut cleared_any = false;
-        for vpn in vpns {
+        loop {
             // Second chance: referenced pages get their accessed bit cleared
             // and survive this pass.
-            let (frame, accessed) = {
-                let Ok(proc) = self.process(pid) else {
-                    return SwapOutResult::Nothing;
-                };
-                match proc.mm.pte(vpn) {
-                    Some(Pte::Present {
-                        frame, accessed, ..
-                    }) => (*frame, *accessed),
-                    _ => continue,
-                }
+            let Some(proc) = self.procs.get_mut(&pid) else {
+                return SwapOutResult::Nothing;
             };
-            if accessed {
-                if let Some(Pte::Present { accessed, .. }) =
-                    self.process_mut(pid).ok().and_then(|p| p.mm.pte_mut(vpn))
-                {
-                    *accessed = false;
-                    cleared_any = true;
-                }
-                continue;
+            let Some((vpn, frame)) = proc.mm.age_until_cold(at, to, &mut cleared_any) else {
+                break;
+            };
+            at = vpn + 1;
+            match self.steal_cold_page(pid, vpn, frame) {
+                None => continue,
+                Some(r) => return r,
             }
-            // A cold on-demand pin is the stealer's to break: dissolve the
-            // lazy references (clearing PG_locked/PG_ondemand and queueing
-            // a TPT invalidation for the device layer), remember the page
-            // so its next lazy pin counts as a repin, and evict it like
-            // any other cold page. The injector can veto the unpin,
-            // modeling a pin this reclaim pass could not break.
-            if self
-                .pagemap
-                .get(frame)
-                .flags()
-                .contains(PageFlags::ONDEMAND)
-                && self.lazy_pin_count(frame) > 0
-            {
-                if self.inject(crate::inject::PRESSURE_UNPIN) {
-                    self.stats.skipped_pg_locked.bump();
-                    continue;
-                }
-                self.dissolve_lazy_pins(frame);
-                self.repin_pending.insert((pid, vpn));
-                self.stats.pressure_unpins.bump();
-                return self.try_to_swap_out(pid, vpn, frame);
-            }
-            // PG_locked / PG_reserved pages are untouchable.
-            if self.pagemap.get(frame).steal_protected() {
-                self.stats.skipped_pg_locked.bump();
-                continue;
-            }
-            return self.try_to_swap_out(pid, vpn, frame);
         }
         if cleared_any {
             // Second chance given: a rescan will find cold pages.
@@ -173,6 +152,45 @@ impl Kernel {
         } else {
             SwapOutResult::Nothing
         }
+    }
+
+    /// What the scan does with a cold page: dissolve an on-demand pin and
+    /// evict, evict outright, or — `None` — leave a protected page alone
+    /// and scan on.
+    fn steal_cold_page(
+        &mut self,
+        pid: Pid,
+        vpn: u64,
+        frame: crate::FrameId,
+    ) -> Option<SwapOutResult> {
+        // A cold on-demand pin is the stealer's to break: dissolve the
+        // lazy references (clearing PG_locked/PG_ondemand and queueing
+        // a TPT invalidation for the device layer), remember the page
+        // so its next lazy pin counts as a repin, and evict it like
+        // any other cold page. The injector can veto the unpin,
+        // modeling a pin this reclaim pass could not break.
+        if self
+            .pagemap
+            .get(frame)
+            .flags()
+            .contains(PageFlags::ONDEMAND)
+            && self.lazy_pin_count(frame) > 0
+        {
+            if self.inject(crate::inject::PRESSURE_UNPIN) {
+                self.stats.skipped_pg_locked.bump();
+                return None;
+            }
+            self.dissolve_lazy_pins(frame);
+            self.repin_pending.insert((pid, vpn));
+            self.stats.pressure_unpins.bump();
+            return Some(self.try_to_swap_out(pid, vpn, frame));
+        }
+        // PG_locked / PG_reserved pages are untouchable.
+        if self.pagemap.get(frame).steal_protected() {
+            self.stats.skipped_pg_locked.bump();
+            return None;
+        }
+        Some(self.try_to_swap_out(pid, vpn, frame))
     }
 
     /// Evict one page: write to swap (unless it is the clean shared zero
@@ -194,9 +212,7 @@ impl Kernel {
         if self.inject(crate::inject::SWAP_FULL) {
             return SwapOutResult::Nothing;
         }
-        let mut page = [0u8; crate::PAGE_SIZE];
-        page.copy_from_slice(self.phys.frame(frame));
-        let slot = match self.swap.swap_out(&page) {
+        let slot = match self.swap.swap_out(self.phys.frame(frame)) {
             Ok(s) => s,
             Err(_) => return SwapOutResult::Nothing,
         };
@@ -211,10 +227,18 @@ impl Kernel {
         // demonstrates. Under 2.4 semantics it enters the swap cache
         // instead, and a refault re-unifies virtual page and frame.
         let count_before = self.pagemap.get(frame).count();
+        // One cache entry per frame. A frame shared by fork is evicted once
+        // per mapping, each time to a slot of its own; the first eviction's
+        // entry stands and `put_frame` purges it with the last reference.
+        // (Overwriting `swap_slot` here left the earlier entries behind,
+        // pointing at a frame that had gone back to the free list.)
         if count_before > 1 && self.config.swap_cache {
-            self.pagemap.get_mut(frame).swap_slot = Some(slot);
-            self.swap_cache.insert(slot, frame);
-            self.stats.swap_cache_adds.bump();
+            let d = self.pagemap.get_mut(frame);
+            if d.swap_slot.is_none() {
+                d.swap_slot = Some(slot);
+                self.swap_cache.insert(slot, frame);
+                self.stats.swap_cache_adds.bump();
+            }
         }
         self.pagemap.get_mut(frame).rmap = None;
         self.put_frame(frame);
@@ -225,6 +249,113 @@ impl Kernel {
             SwapOutResult::Progress
         } else {
             SwapOutResult::FreedFrame
+        }
+    }
+}
+
+/// The stealer as it was before the in-place walk: count every RSS by
+/// walking the page table, collect and sort the pids, copy the VMA list,
+/// collect every present VPN of a VMA, then scan the copies. Kept as the
+/// reference the differential test (`stealer_diff_tests.rs`) holds the
+/// production walk to; it reads the page table only through
+/// [`AddressSpace::ptes_in`], never through the present index. Victims
+/// leave through the shared [`Kernel::steal_cold_page`].
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    impl Kernel {
+        fn oracle_rss(&self, pid: Pid) -> usize {
+            self.procs[&pid]
+                .mm
+                .ptes_in(0, u64::MAX)
+                .filter(|(_, p)| matches!(p, Pte::Present { .. }))
+                .count()
+        }
+
+        fn oracle_present_vpns(&self, pid: Pid, start: u64, end: u64) -> Vec<u64> {
+            self.procs[&pid]
+                .mm
+                .ptes_in(AddressSpace::vpn(start), AddressSpace::vpn(end))
+                .filter(|(_, p)| matches!(p, Pte::Present { .. }))
+                .map(|(v, _)| v)
+                .collect()
+        }
+
+        pub(super) fn oracle_swap_out(&mut self) -> SwapOutResult {
+            let mut pids: Vec<Pid> = self
+                .procs
+                .keys()
+                .copied()
+                .filter(|&pid| self.oracle_rss(pid) > 0)
+                .collect();
+            if pids.is_empty() {
+                return SwapOutResult::Nothing;
+            }
+            pids.sort();
+            let n = pids.len();
+            let start = self.swap_rotor;
+            self.swap_rotor = self.swap_rotor.wrapping_add(1) % n.max(1);
+            for i in 0..n {
+                let pid = pids[(start + i) % n];
+                match self.oracle_swap_out_process(pid) {
+                    SwapOutResult::Nothing => continue,
+                    r => return r,
+                }
+            }
+            SwapOutResult::Nothing
+        }
+
+        fn oracle_swap_out_process(&mut self, pid: Pid) -> SwapOutResult {
+            let vmas: Vec<(u64, u64, bool)> = self.procs[&pid]
+                .mm
+                .vmas
+                .iter()
+                .map(|v| (v.start, v.end, v.flags.locked))
+                .collect();
+            for (start, end, locked) in vmas {
+                if locked {
+                    let present = self.oracle_present_vpns(pid, start, end).len() as u64;
+                    self.stats.skipped_vm_locked.add(present);
+                    continue;
+                }
+                match self.oracle_swap_out_vma(pid, start, end) {
+                    SwapOutResult::Nothing => continue,
+                    r => return r,
+                }
+            }
+            SwapOutResult::Nothing
+        }
+
+        fn oracle_swap_out_vma(&mut self, pid: Pid, start: u64, end: u64) -> SwapOutResult {
+            let vpns = self.oracle_present_vpns(pid, start, end);
+            let mut cleared_any = false;
+            for vpn in vpns {
+                let (frame, accessed) = match self.procs[&pid].mm.pte(vpn) {
+                    Some(Pte::Present {
+                        frame, accessed, ..
+                    }) => (*frame, *accessed),
+                    _ => continue,
+                };
+                if accessed {
+                    if let Some(Pte::Present { accessed, .. }) =
+                        self.process_mut(pid).ok().and_then(|p| p.mm.pte_mut(vpn))
+                    {
+                        *accessed = false;
+                        cleared_any = true;
+                    }
+                    continue;
+                }
+                match self.steal_cold_page(pid, vpn, frame) {
+                    None => continue,
+                    Some(r) => return r,
+                }
+            }
+            if cleared_any {
+                SwapOutResult::Progress
+            } else {
+                SwapOutResult::Nothing
+            }
         }
     }
 }
@@ -241,6 +372,7 @@ enum SwapOutResult {
 
 #[cfg(test)]
 mod tests {
+    use crate::mm::AddressSpace;
     use crate::{prot, Capabilities, Kernel, KernelConfig, PageFlags, PAGE_SIZE};
 
     /// A machine with little RAM and ample swap so tests can force pressure.
@@ -401,6 +533,44 @@ mod tests {
             k.mm_stats().repins >= 1,
             "post-pressure pins count as repins"
         );
+    }
+
+    #[test]
+    fn a_swapped_out_vma_in_front_costs_the_scan_nothing() {
+        // PTEs one reclaim pass looks at, with a VMA of `front_pages`
+        // swap entries (and nothing resident) in front of the victim's.
+        let scanned = |front_pages: usize| {
+            let mut k = Kernel::new(KernelConfig {
+                nframes: 64,
+                reserved_frames: 4,
+                swap_slots: 8192,
+                default_rlimit_memlock: None,
+                swap_cache: false,
+            });
+            let pid = k.spawn_process(Capabilities::default());
+            let front = k
+                .mmap_anon(pid, front_pages * PAGE_SIZE, prot::READ | prot::WRITE)
+                .unwrap();
+            k.touch_pages(pid, front, front_pages * PAGE_SIZE, true)
+                .unwrap();
+            // More pages than the machine has: the scan starts at `front`
+            // every pass, so all of it goes before any of these do.
+            let victim = k
+                .mmap_anon(pid, 80 * PAGE_SIZE, prot::READ | prot::WRITE)
+                .unwrap();
+            k.touch_pages(pid, victim, 80 * PAGE_SIZE, true).unwrap();
+            let mm = &mut k.process_mut(pid).unwrap().mm;
+            assert_eq!(mm.vmas.count(), 2);
+            let (from, to) = (AddressSpace::vpn(front), AddressSpace::vpn(victim));
+            assert_eq!(mm.present_in(from, to), 0);
+            assert_eq!(mm.ptes_in(from, to).count(), front_pages);
+            mm.ptes_scanned = 0;
+            assert!(k.try_to_free_pages());
+            k.process(pid).unwrap().mm.ptes_scanned
+        };
+        let few = scanned(64);
+        assert!(few > 0);
+        assert_eq!(scanned(4096), few);
     }
 
     #[test]

@@ -16,6 +16,12 @@ pub struct SlotId(pub u32);
 pub struct SwapDevice {
     slots: Vec<Option<Box<[u8]>>>,
     free: Vec<SlotId>,
+    /// Page buffers emptied by [`SwapDevice::swap_in`], handed to the next
+    /// [`SwapDevice::swap_out`]: steady-state paging moves a page out for
+    /// every page it moves in and allocates nothing. Only `swap_in` feeds
+    /// the list, so the device never holds more buffers than it held pages
+    /// at its fullest.
+    spare: Vec<Box<[u8]>>,
     /// Total writes (page-outs) ever performed, for statistics.
     pub writes: u64,
     /// Total reads (page-ins) ever performed.
@@ -28,6 +34,7 @@ impl SwapDevice {
         SwapDevice {
             slots: (0..nslots).map(|_| None).collect(),
             free: (0..nslots).rev().map(SlotId).collect(),
+            spare: Vec::new(),
             writes: 0,
             reads: 0,
         }
@@ -50,7 +57,14 @@ impl SwapDevice {
     pub fn swap_out(&mut self, data: &[u8]) -> Result<SlotId, MmError> {
         debug_assert_eq!(data.len(), PAGE_SIZE);
         let slot = self.free.pop().ok_or(MmError::SwapFull)?;
-        self.slots[slot.0 as usize] = Some(data.to_vec().into_boxed_slice());
+        let page = match self.spare.pop() {
+            Some(mut page) => {
+                page.copy_from_slice(data);
+                page
+            }
+            None => data.into(),
+        };
+        self.slots[slot.0 as usize] = Some(page);
         self.writes += 1;
         Ok(slot)
     }
@@ -62,6 +76,7 @@ impl SwapDevice {
             .take()
             .ok_or(MmError::InvalidArgument("swap-in from empty slot"))?;
         out.copy_from_slice(&data);
+        self.spare.push(data);
         self.free.push(slot);
         self.reads += 1;
         Ok(())
@@ -79,6 +94,39 @@ impl SwapDevice {
     /// Peek at a slot's contents without freeing it (diagnostics only).
     pub fn peek(&self, slot: SlotId) -> Option<&[u8]> {
         self.slots[slot.0 as usize].as_deref()
+    }
+
+    /// The device census: every slot is either on the free list (once, and
+    /// empty) or occupied, the two add up to the capacity, and the spare
+    /// buffers are whole pages, at most one per free slot.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let mut on_free_list = vec![false; self.capacity()];
+        for slot in &self.free {
+            match on_free_list.get_mut(slot.0 as usize) {
+                None => return Err(format!("free list names slot {} beyond the device", slot.0)),
+                Some(seen) if *seen => {
+                    return Err(format!("slot {} is on the free list twice", slot.0))
+                }
+                Some(seen) => *seen = true,
+            }
+        }
+        for (i, (page, free)) in self.slots.iter().zip(&on_free_list).enumerate() {
+            if page.is_some() == *free {
+                return Err(format!(
+                    "slot {i} is {} and {} the free list",
+                    if page.is_some() { "occupied" } else { "empty" },
+                    if *free { "on" } else { "off" },
+                ));
+            }
+        }
+        if self.spare.len() > self.free.len() || self.spare.iter().any(|b| b.len() != PAGE_SIZE) {
+            return Err(format!(
+                "{} spare buffers for {} free slots",
+                self.spare.len(),
+                self.free.len()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -117,5 +165,44 @@ mod tests {
         let s = sd.swap_out(&page).unwrap();
         sd.free_slot(s).unwrap();
         assert!(sd.free_slot(s).is_err());
+    }
+
+    #[test]
+    fn page_in_hands_its_buffer_to_the_next_page_out() {
+        let mut sd = SwapDevice::new(4);
+        let mut page = vec![1u8; PAGE_SIZE];
+        let a = sd.swap_out(&page).unwrap();
+        let b = sd.swap_out(&page).unwrap();
+        assert!(sd.spare.is_empty());
+        let buf = sd.peek(a).unwrap().as_ptr();
+        sd.swap_in(a, &mut page).unwrap();
+        assert_eq!(sd.spare.len(), 1);
+        page.fill(2);
+        let c = sd.swap_out(&page).unwrap();
+        assert!(sd.spare.is_empty());
+        assert_eq!(sd.peek(c).unwrap().as_ptr(), buf, "same allocation");
+        assert!(sd.peek(c).unwrap().iter().all(|&x| x == 2), "new contents");
+        // A slot dropped unread gives its buffer back to the allocator.
+        sd.free_slot(b).unwrap();
+        assert!(sd.spare.is_empty());
+        sd.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn census_catches_a_broken_free_list() {
+        let mut sd = SwapDevice::new(2);
+        let s = sd.swap_out(&vec![0u8; PAGE_SIZE]).unwrap();
+        sd.check_invariants().unwrap();
+        sd.free.push(s);
+        assert!(
+            sd.check_invariants().is_err(),
+            "occupied slot on the free list"
+        );
+        sd.free.pop();
+        sd.free.push(SlotId(1));
+        assert!(
+            sd.check_invariants().is_err(),
+            "slot on the free list twice"
+        );
     }
 }

@@ -174,3 +174,45 @@ fn exit_with_cached_pages_is_clean() {
     }
     assert_eq!(k.count_orphaned_frames(), 0);
 }
+
+#[test]
+fn frame_evicted_through_three_mappings_leaves_no_stale_entry() {
+    // A frame mapped by a process and two fork children is evicted once per
+    // mapping. Each eviction used to overwrite `swap_slot`, so freeing the
+    // frame purged only the last slot's cache entry; the first one stayed,
+    // and a later fault on that slot re-mapped a frame that had gone back
+    // to the free list — another process's memory.
+    let mut k = tight(true);
+    let parent = k.spawn_process(Capabilities::default());
+    let a = k
+        .mmap_anon(parent, PAGE_SIZE, prot::READ | prot::WRITE)
+        .unwrap();
+    k.write_user(parent, a, b"shared-page").unwrap();
+    let children = [k.fork(parent).unwrap(), k.fork(parent).unwrap()];
+    let shared = k.frame_of(parent, a).unwrap().unwrap();
+    assert_eq!(k.page_descriptor(shared).count(), 3);
+
+    let hog = k.spawn_process(Capabilities::default());
+    let hbuf = k
+        .mmap_anon(hog, 120 * PAGE_SIZE, prot::READ | prot::WRITE)
+        .unwrap();
+    for i in 0..120 {
+        k.write_user(hog, hbuf + (i * PAGE_SIZE) as u64, &[0xEE; 16])
+            .unwrap();
+    }
+    for pid in [parent, children[0], children[1]] {
+        assert!(
+            k.frame_of(pid, a).unwrap().is_none(),
+            "evicted from {pid:?}"
+        );
+    }
+    k.check_invariants().unwrap();
+    assert_eq!(k.swap_cache_len(), 0, "the frame was freed: nothing cached");
+
+    for pid in [parent, children[0], children[1]] {
+        let mut out = [0u8; 11];
+        k.read_user(pid, a, &mut out).unwrap();
+        assert_eq!(&out, b"shared-page", "{pid:?} reads its own page back");
+    }
+    k.check_invariants().unwrap();
+}

@@ -96,6 +96,12 @@ impl VmaSet {
             .filter(|v| v.contains(addr))
     }
 
+    /// The first VMA that starts at or after `addr` — the cursor step of a
+    /// walk that cannot hold an iterator across its body.
+    pub(crate) fn first_from(&self, addr: VirtAddr) -> Option<&VmArea> {
+        self.areas.range(addr..).next().map(|(_, v)| v)
+    }
+
     /// Iterate all VMAs in address order.
     pub fn iter(&self) -> impl Iterator<Item = &VmArea> {
         self.areas.values()

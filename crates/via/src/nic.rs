@@ -1171,7 +1171,11 @@ impl Node {
     /// 1. the registry census holds (per-frame pin counts equal the live
     ///    registrations covering them);
     /// 2. no orphaned frames (reliable pinning's whole promise);
-    /// 3. TPT occupancy never exceeds capacity.
+    /// 3. TPT occupancy never exceeds capacity;
+    /// 4. the kernel census holds (present indexes, swap device, swap
+    ///    cache — [`Kernel::check_invariants`]);
+    /// 5. every filled TPT slot lies in a live region's window
+    ///    ([`Tpt::check_invariants`]).
     ///
     /// The packet-pool ledger is *fabric-wide* (buffers migrate between
     /// nodes with the packets that carry them), so the fabric sums
@@ -1188,7 +1192,8 @@ impl Node {
         if used > cap {
             return Err(format!("TPT occupancy {used} > capacity {cap}"));
         }
-        Ok(())
+        self.kernel.check_invariants()?;
+        self.nic.tpt.check_invariants()
     }
 
     /// Target-side atomic compare-and-swap on an aligned u64 of a named

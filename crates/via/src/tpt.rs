@@ -514,18 +514,63 @@ impl Tpt {
     /// Bumps the generation (when anything changed) so TLB-cached
     /// descriptors are refetched. Returns the number of entries
     /// invalidated.
+    ///
+    /// Every filled slot lies in exactly one live region's window (the
+    /// invariant [`hole`] reports and [`Tpt::check_invariants`] audits), so
+    /// the windows are the whole search: a steal costs the pages
+    /// registered, not the table's capacity.
     pub fn invalidate_frame(&mut self, frame: FrameId) -> usize {
         let mut n = 0usize;
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.frame == Some(frame) {
-                slot.frame = None;
-                n += 1;
+        for region in self.regions.values() {
+            let Some(window) = self
+                .slots
+                .get_mut(region.first_slot..region.first_slot + region.npages)
+            else {
+                debug_assert!(false, "region window beyond the table");
+                continue;
+            };
+            for entry in window.iter_mut().flatten() {
+                if entry.frame == Some(frame) {
+                    entry.frame = None;
+                    n += 1;
+                }
             }
         }
         if n > 0 {
             self.generation += 1;
         }
         n
+    }
+
+    /// The table census: the live regions' windows are disjoint, lie
+    /// inside the table, and hold exactly the filled slots — no hole
+    /// inside a window, no filled slot outside every window (one there
+    /// would be invisible to [`Tpt::invalidate_frame`]).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let mut owner: Vec<Option<MemId>> = vec![None; self.slots.len()];
+        for r in self.regions.values() {
+            let window = owner
+                .get_mut(r.first_slot..r.first_slot + r.npages)
+                .ok_or_else(|| format!("region {} window beyond the table", r.mem_id.0))?;
+            for o in window {
+                if let Some(other) = o.replace(r.mem_id) {
+                    return Err(format!(
+                        "regions {} and {} share a TPT slot",
+                        other.0, r.mem_id.0
+                    ));
+                }
+            }
+        }
+        for (i, (slot, owner)) in self.slots.iter().zip(&owner).enumerate() {
+            match (slot.is_some(), owner) {
+                (true, None) => return Err(format!("filled TPT slot {i} outside every region")),
+                (false, Some(m)) => {
+                    return Err(format!("empty TPT slot {i} inside region {}", m.0))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -959,5 +1004,49 @@ mod tests {
         );
         // Out-of-span repin refused.
         assert_eq!(t.set_frame(id, 3, FrameId(9)), Err(ViaError::OutOfBounds));
+    }
+
+    #[test]
+    fn invalidation_walks_region_windows_and_the_census_audits_them() {
+        // Two regions with a gap of free slots between and after them; the
+        // same frame backs a page of each (a shared mapping).
+        let mut t = Tpt::new(64);
+        let mut ids = Vec::new();
+        for (h, frames) in [
+            (1, vec![Some(FrameId(7)), Some(FrameId(8)), None]),
+            (2, vec![Some(FrameId(9))]),
+            (3, vec![None, Some(FrameId(7))]),
+        ] {
+            ids.push(
+                t.insert_region(
+                    vialock::MemHandle(h),
+                    Pid(1),
+                    0x1000 * h,
+                    frames.len() * PAGE_SIZE,
+                    &frames,
+                    ProtectionTag(1),
+                    true,
+                    false,
+                )
+                .unwrap(),
+            );
+        }
+        t.remove_region(ids[1]).unwrap();
+        t.check_invariants().unwrap();
+        let g = t.generation();
+        assert_eq!(t.invalidate_frame(FrameId(7)), 2, "both regions' entries");
+        assert_eq!(t.generation(), g + 1, "one bump per frame that hit");
+        assert_eq!(t.invalidate_frame(FrameId(9)), 0, "removed with its region");
+        assert_eq!(t.generation(), g + 1);
+        t.check_invariants().unwrap();
+
+        // A filled slot no region owns is what the windowed walk cannot
+        // see; the census reports it, and a hole inside a window too.
+        let stray = t.slots.iter().position(Option::is_none).unwrap();
+        t.slots[stray] = t.slots[0];
+        assert!(t.check_invariants().unwrap_err().contains("outside"));
+        t.slots[stray] = None;
+        t.slots[0] = None;
+        assert!(t.check_invariants().unwrap_err().contains("empty"));
     }
 }
