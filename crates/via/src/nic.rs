@@ -269,6 +269,43 @@ impl Nic {
         self.vis.get_mut(id.0 as usize).ok_or(ViaError::BadId("vi"))
     }
 
+    /// `VipPostSend` / `VipPostRecv`: queue a descriptor on `vi`'s send
+    /// (posting is ringing the doorbell) or receive work queue. A VI in
+    /// [`ViState::Error`] refuses it.
+    pub fn post(&mut self, vi: ViId, desc: Descriptor, send: bool) -> ViaResult<()> {
+        let v = self.vi_mut(vi)?;
+        if v.state == ViState::Error {
+            return Err(ViaError::Disconnected);
+        }
+        if send {
+            v.send_q.push_back(desc);
+        } else {
+            v.recv_q.push_back(desc);
+        }
+        Ok(())
+    }
+
+    /// One end of a connect: point the idle `vi` at `peer`. The only
+    /// transition into [`ViState::Connected`].
+    pub fn set_peer(&mut self, vi: ViId, peer: (usize, ViId)) -> ViaResult<()> {
+        let v = self.vi_mut(vi)?;
+        if v.state != ViState::Idle {
+            return Err(ViaError::BadState("connect on non-idle VI"));
+        }
+        v.peer = Some(peer);
+        v.state = ViState::Connected;
+        Ok(())
+    }
+
+    /// Undo [`Nic::set_peer`] on the end of a connect whose other end
+    /// refused.
+    pub fn clear_peer(&mut self, vi: ViId) -> ViaResult<()> {
+        let v = self.vi_mut(vi)?;
+        v.peer = None;
+        v.state = ViState::Idle;
+        Ok(())
+    }
+
     /// Number of VIs. Their ids are exactly `ViId(0) .. ViId(vi_count)`,
     /// which is how the pumps walk the table in place.
     pub fn vi_count(&self) -> usize {
@@ -1153,6 +1190,13 @@ impl Node {
         self.walk(by, once(span), Access::Local, |node, runs| {
             node.read_runs(runs, out, false)
         })
+    }
+
+    /// Whether `len` bytes at byte offset `off` lie inside exported region
+    /// `mem` — what a fabric asks before it sizes a staging buffer from a
+    /// caller's `len`.
+    pub fn check_pio_span(&self, mem: MemId, off: usize, len: usize) -> ViaResult<()> {
+        self.pio_span(mem, off, len).map(|_| ())
     }
 
     /// `len` bytes at byte offset `off` of exported region `mem`, as a span

@@ -8,11 +8,14 @@
 //! so one collection pass per pump finds all the work there is. All methods
 //! are node-indexed so one test can hold the entire cluster.
 
-use simmem::{Capabilities, Kernel, KernelConfig, Pid, VirtAddr};
+use std::time::Duration;
+
+use simmem::{Kernel, KernelConfig, Pid, VirtAddr};
 use vialock::{FaultSite, StrategyKind};
 
 use crate::descriptor::Descriptor;
 use crate::error::{ViaError, ViaResult};
+use crate::fabric::{connect_rule, Fabric};
 use crate::nic::{Node, Packet, PacketKind, DEFAULT_TPT_PAGES};
 use crate::tpt::{MemId, ProtectionTag};
 use crate::vi::{Completion, Reliability, ViId, ViState};
@@ -35,7 +38,7 @@ pub struct ViaSystem {
     /// between pumps. Swapped with `in_flight` each round and drained, so
     /// neither vector gives up its capacity.
     round: Vec<Packet>,
-    /// Scratch staging buffer reused by [`ViaSystem::sci_write`].
+    /// Scratch staging buffer reused by [`Fabric::sci_write`].
     pio_scratch: Vec<u8>,
 }
 
@@ -80,18 +83,14 @@ impl ViaSystem {
         &mut self.nodes[n].kernel
     }
 
-    /// Route every node's fault sites through one shared seeded plan.
+    /// [`Fabric::install_fault_plan`].
     pub fn install_fault_plan(&mut self, plan: &vialock::FaultHandle) {
-        for node in &mut self.nodes {
-            node.install_fault_plan(plan);
-        }
+        Fabric::install_fault_plan(self, plan)
     }
 
-    /// Process exit on node `n`: the kernel agent reclaims every TPT entry,
-    /// pin and mlock interval the process owned, breaks its VIs, then the
-    /// kernel tears the address space down.
+    /// [`Fabric::exit_process`].
     pub fn exit_process(&mut self, n: NodeId, pid: Pid) -> ViaResult<()> {
-        self.nodes[n].exit_process(pid)
+        Fabric::exit_process(self, n, pid)
     }
 
     /// Scope-bound process lifetime: spawn a process on node `n`, run `f`
@@ -143,26 +142,26 @@ impl ViaSystem {
     }
 
     // ------------------------------------------------------------------
-    // Convenience wrappers (the VIPL facade calls these)
+    // The fabric surface without `Fabric` in scope: each of these forwards
+    // to the trait method of the same name and adds nothing of its own.
     // ------------------------------------------------------------------
 
-    /// Spawn an unprivileged process on node `n`.
+    /// [`Fabric::spawn_process`].
     pub fn spawn_process(&mut self, n: NodeId) -> Pid {
-        self.nodes[n].kernel.spawn_process(Capabilities::default())
+        Fabric::spawn_process(self, n)
     }
 
-    /// Anonymous mapping in a node-local process.
+    /// [`Fabric::mmap`].
     pub fn mmap(&mut self, n: NodeId, pid: Pid, len: usize, prot: u8) -> ViaResult<VirtAddr> {
-        Ok(self.nodes[n].kernel.mmap_anon(pid, len, prot)?)
+        Fabric::mmap(self, n, pid, len, prot)
     }
 
-    /// Unmap a range in a node-local process.
+    /// [`Fabric::munmap`].
     pub fn munmap(&mut self, n: NodeId, pid: Pid, addr: VirtAddr, len: usize) -> ViaResult<()> {
-        Ok(self.nodes[n].kernel.munmap(pid, addr, len)?)
+        Fabric::munmap(self, n, pid, addr, len)
     }
 
-    /// Fault every page of `[addr, addr+len)` present in a node-local
-    /// process (write access if `write`).
+    /// [`Fabric::touch_pages`].
     pub fn touch_pages(
         &mut self,
         n: NodeId,
@@ -171,10 +170,10 @@ impl ViaSystem {
         len: usize,
         write: bool,
     ) -> ViaResult<()> {
-        Ok(self.nodes[n].kernel.touch_pages(pid, addr, len, write)?)
+        Fabric::touch_pages(self, n, pid, addr, len, write)
     }
 
-    /// CPU store into user memory (runs the fault path).
+    /// [`Fabric::write_user`].
     pub fn write_user(
         &mut self,
         n: NodeId,
@@ -182,10 +181,10 @@ impl ViaSystem {
         addr: VirtAddr,
         data: &[u8],
     ) -> ViaResult<()> {
-        Ok(self.nodes[n].kernel.write_user(pid, addr, data)?)
+        Fabric::write_user(self, n, pid, addr, data)
     }
 
-    /// CPU load from user memory.
+    /// [`Fabric::read_user`].
     pub fn read_user(
         &mut self,
         n: NodeId,
@@ -193,42 +192,22 @@ impl ViaSystem {
         addr: VirtAddr,
         out: &mut [u8],
     ) -> ViaResult<()> {
-        Ok(self.nodes[n].kernel.read_user(pid, addr, out)?)
+        Fabric::read_user(self, n, pid, addr, out)
     }
 
-    /// Create a VI on node `n`.
+    /// [`Fabric::create_vi`].
     pub fn create_vi(&mut self, n: NodeId, pid: Pid, tag: ProtectionTag) -> ViaResult<ViId> {
-        Ok(self.nodes[n].nic.create_vi(pid, tag))
+        Fabric::create_vi(self, n, pid, tag)
     }
 
-    /// Set a VI's reliability level. Delivery semantics are decided by the
-    /// *receiving* VI's level, so symmetric connections should set both
-    /// ends.
+    /// [`Fabric::set_reliability`].
     pub fn set_reliability(&mut self, n: NodeId, vi: ViId, r: Reliability) -> ViaResult<()> {
-        self.nodes[n].nic.vi_mut(vi)?.reliability = r;
-        Ok(())
+        Fabric::set_reliability(self, n, vi, r)
     }
 
-    /// Connect two VIs (the client/server handshake collapsed into one
-    /// fabric-level operation).
+    /// [`Fabric::connect`].
     pub fn connect(&mut self, a: (NodeId, ViId), b: (NodeId, ViId)) -> ViaResult<()> {
-        {
-            let vi = self.nodes[a.0].nic.vi_mut(a.1)?;
-            if vi.state != ViState::Idle {
-                return Err(ViaError::BadState("connect on non-idle VI"));
-            }
-            vi.peer = Some((b.0, b.1));
-            vi.state = ViState::Connected;
-        }
-        {
-            let vi = self.nodes[b.0].nic.vi_mut(b.1)?;
-            if vi.state != ViState::Idle {
-                return Err(ViaError::BadState("connect on non-idle VI"));
-            }
-            vi.peer = Some((a.0, a.1));
-            vi.state = ViState::Connected;
-        }
-        Ok(())
+        Fabric::connect(self, a, b)
     }
 
     /// `VipConnectWait` (server side): park an idle VI on a connection
@@ -248,31 +227,34 @@ impl ViaSystem {
     }
 
     /// `VipConnectRequest` (client side): connect the idle VI `a` to the
-    /// listener parked at `(server_node, discriminator)`.
+    /// listener parked at `(server_node, discriminator)`. The listener is
+    /// un-parked, the two are connected by the rule every connect runs
+    /// ([`Fabric::connect`]), and on any refusal the listener is parked
+    /// again: the client stays idle and the discriminator stays taken.
     pub fn connect_request(
         &mut self,
         a: (NodeId, ViId),
         server_node: NodeId,
         discriminator: u64,
     ) -> ViaResult<()> {
-        let server_vi = self
+        let key = (server_node, discriminator);
+        let server_vi = *self
             .listeners
-            .remove(&(server_node, discriminator))
+            .get(&key)
             .ok_or(ViaError::BadState("no listener at discriminator"))?;
-        {
-            let v = self.nodes[a.0].nic.vi_mut(a.1)?;
-            if v.state != ViState::Idle {
-                self.listeners
-                    .insert((server_node, discriminator), server_vi);
-                return Err(ViaError::BadState("connect_request on non-idle VI"));
-            }
-            v.peer = Some((server_node, server_vi));
-            v.state = ViState::Connected;
-        }
         let v = self.nodes[server_node].nic.vi_mut(server_vi)?;
-        v.peer = Some(a);
-        v.state = ViState::Connected;
-        Ok(())
+        if v.state != ViState::Listening {
+            // Its process exited while it was parked.
+            return Err(ViaError::BadState("listener is no longer listening"));
+        }
+        v.state = ViState::Idle;
+        let connected = self.connect(a, (server_node, server_vi));
+        if connected.is_ok() {
+            self.listeners.remove(&key);
+        } else {
+            self.nodes[server_node].nic.vi_mut(server_vi)?.state = ViState::Listening;
+        }
+        connected
     }
 
     /// `VipDisconnect`: tear a connection down from either end. Both VIs
@@ -314,7 +296,7 @@ impl ViaSystem {
         Ok(())
     }
 
-    /// Register memory on node `n` (kernel-agent trap).
+    /// [`Fabric::register_mem`].
     pub fn register_mem(
         &mut self,
         n: NodeId,
@@ -323,7 +305,7 @@ impl ViaSystem {
         len: usize,
         tag: ProtectionTag,
     ) -> ViaResult<MemId> {
-        self.nodes[n].register_mem(pid, addr, len, tag)
+        Fabric::register_mem(self, n, pid, addr, len, tag)
     }
 
     /// Register a batch of buffers on node `n` in one kernel-agent trap,
@@ -372,9 +354,9 @@ impl ViaSystem {
         Ok(())
     }
 
-    /// Deregister memory on node `n`.
+    /// [`Fabric::deregister_mem`].
     pub fn deregister_mem(&mut self, n: NodeId, mem: MemId) -> ViaResult<()> {
-        self.nodes[n].deregister_mem(mem)
+        Fabric::deregister_mem(self, n, mem)
     }
 
     /// Coherent registration-stats snapshot for node `n` (the only
@@ -386,7 +368,7 @@ impl ViaSystem {
         node.registry.snapshot_with(&node.kernel)
     }
 
-    /// Post a one-segment send descriptor and ring the doorbell.
+    /// [`Fabric::post_send`].
     pub fn post_send(
         &mut self,
         n: NodeId,
@@ -395,20 +377,15 @@ impl ViaSystem {
         addr: VirtAddr,
         len: usize,
     ) -> ViaResult<()> {
-        self.post_send_desc(n, vi, Descriptor::send(mem, addr, len))
+        Fabric::post_send(self, n, vi, mem, addr, len)
     }
 
-    /// Post an arbitrary send-side descriptor.
+    /// [`Fabric::post_send_desc`].
     pub fn post_send_desc(&mut self, n: NodeId, vi: ViId, desc: Descriptor) -> ViaResult<()> {
-        let v = self.nodes[n].nic.vi_mut(vi)?;
-        if v.state == ViState::Error {
-            return Err(ViaError::Disconnected);
-        }
-        v.send_q.push_back(desc);
-        Ok(())
+        Fabric::post_send_desc(self, n, vi, desc)
     }
 
-    /// Post a one-segment receive descriptor.
+    /// [`Fabric::post_recv`].
     pub fn post_recv(
         &mut self,
         n: NodeId,
@@ -417,20 +394,15 @@ impl ViaSystem {
         addr: VirtAddr,
         len: usize,
     ) -> ViaResult<()> {
-        self.post_recv_desc(n, vi, Descriptor::recv(mem, addr, len))
+        Fabric::post_recv(self, n, vi, mem, addr, len)
     }
 
-    /// Post an arbitrary receive descriptor.
+    /// [`Fabric::post_recv_desc`].
     pub fn post_recv_desc(&mut self, n: NodeId, vi: ViId, desc: Descriptor) -> ViaResult<()> {
-        let v = self.nodes[n].nic.vi_mut(vi)?;
-        if v.state == ViState::Error {
-            return Err(ViaError::Disconnected);
-        }
-        v.recv_q.push_back(desc);
-        Ok(())
+        Fabric::post_recv_desc(self, n, vi, desc)
     }
 
-    /// Post a one-segment RDMA write.
+    /// [`Fabric::post_rdma_write`].
     #[allow(clippy::too_many_arguments)]
     pub fn post_rdma_write(
         &mut self,
@@ -442,14 +414,19 @@ impl ViaSystem {
         remote_mem: MemId,
         remote_addr: VirtAddr,
     ) -> ViaResult<()> {
-        self.post_send_desc(
+        Fabric::post_rdma_write(
+            self,
             n,
             vi,
-            Descriptor::rdma_write(local_mem, local_addr, len, remote_mem, remote_addr),
+            local_mem,
+            local_addr,
+            len,
+            remote_mem,
+            remote_addr,
         )
     }
 
-    /// Post a one-segment RDMA read.
+    /// [`Fabric::post_rdma_read`].
     #[allow(clippy::too_many_arguments)]
     pub fn post_rdma_read(
         &mut self,
@@ -461,64 +438,41 @@ impl ViaSystem {
         remote_mem: MemId,
         remote_addr: VirtAddr,
     ) -> ViaResult<()> {
-        self.post_send_desc(
+        Fabric::post_rdma_read(
+            self,
             n,
             vi,
-            Descriptor::rdma_read(local_mem, local_addr, len, remote_mem, remote_addr),
+            local_mem,
+            local_addr,
+            len,
+            remote_mem,
+            remote_addr,
         )
     }
 
-    /// Poll one VI's completion queue.
+    /// [`Fabric::poll_cq`].
     pub fn poll_cq(&mut self, n: NodeId, vi: ViId) -> ViaResult<Option<Completion>> {
-        Ok(self.nodes[n].nic.vi_mut(vi)?.poll_cq())
+        Fabric::poll_cq(self, n, vi)
     }
 
-    // ------------------------------------------------------------------
-    // SCI shared-memory PIO
-    // ------------------------------------------------------------------
-
-    /// SCI-style programmed I/O: the CPU on `src` loads `len` bytes from its
-    /// own user buffer and stores them into memory **imported** from `dst` —
-    /// a registered (exported) region addressed by `(MemId, byte offset)`.
-    ///
-    /// No descriptors, no doorbells: protection on the importer side is the
-    /// host MMU (modelled by the mapping existing at all), and on the
-    /// exporter side the region's own tag, so translation uses the region
-    /// tag. The transfer still lands through the TPT's *physical* frames —
-    /// an exported page that the VM relocated under a bad pinning strategy
-    /// is missed exactly as with DMA.
+    /// [`Fabric::sci_write`].
     pub fn sci_write(
         &mut self,
         src: (NodeId, Pid, VirtAddr),
         len: usize,
         dst: (NodeId, MemId, usize),
     ) -> ViaResult<()> {
-        let (sn, spid, saddr) = src;
-        let (dn, dmem, doff) = dst;
-        let mut buf = std::mem::take(&mut self.pio_scratch);
-        buf.clear();
-        buf.resize(len, 0);
-        let r = self.nodes[sn]
-            .kernel
-            .read_user(spid, saddr, &mut buf)
-            .map_err(ViaError::from)
-            .and_then(|()| self.sci_write_bytes(&buf, (dn, dmem, doff)));
-        self.pio_scratch = buf;
-        r
+        Fabric::sci_write(self, src, len, dst)
     }
 
-    /// [`ViaSystem::sci_write`] with an in-flight byte buffer as source
-    /// (used for control words built in registers rather than memory).
+    /// [`Fabric::sci_write_bytes`].
     pub fn sci_write_bytes(&mut self, data: &[u8], dst: (NodeId, MemId, usize)) -> ViaResult<()> {
-        let (dn, dmem, doff) = dst;
-        self.nodes[dn].sci_write_bytes(data, dmem, doff)
+        Fabric::sci_write_bytes(self, data, dst)
     }
 
-    /// SCI remote *read* (expensive on real hardware — the CHEMPI paper
-    /// avoids it; provided for completeness and tests).
+    /// [`Fabric::sci_read_bytes`].
     pub fn sci_read_bytes(&mut self, src: (NodeId, MemId, usize), out: &mut [u8]) -> ViaResult<()> {
-        let (sn, smem, soff) = src;
-        self.nodes[sn].sci_read_bytes(smem, soff, out)
+        Fabric::sci_read_bytes(self, src, out)
     }
 
     // ------------------------------------------------------------------
@@ -621,6 +575,95 @@ impl ViaSystem {
             Some(e) => Err(e),
             None => Ok(delivered),
         }
+    }
+}
+
+/// What only the deterministic fabric can say: every node is a field away,
+/// caller bytes are borrowed, and one pump drains the cluster.
+impl Fabric for ViaSystem {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+
+    fn try_with_node<R, G>(&mut self, n: NodeId, f: G) -> ViaResult<R>
+    where
+        R: Send + 'static,
+        G: FnOnce(&mut Node) -> R + Send + 'static,
+    {
+        Ok(f(&mut self.nodes[n]))
+    }
+
+    fn write_user(&mut self, n: NodeId, pid: Pid, addr: VirtAddr, data: &[u8]) -> ViaResult<()> {
+        Ok(self.nodes[n].kernel.write_user(pid, addr, data)?)
+    }
+
+    fn read_user(&mut self, n: NodeId, pid: Pid, addr: VirtAddr, out: &mut [u8]) -> ViaResult<()> {
+        Ok(self.nodes[n].kernel.read_user(pid, addr, out)?)
+    }
+
+    fn connect(&mut self, a: (NodeId, ViId), b: (NodeId, ViId)) -> ViaResult<()> {
+        connect_rule(a, b, |n, edit| edit(&mut self.nodes[n].nic))
+    }
+
+    fn wait_cq(&mut self, n: NodeId, vi: ViId) -> ViaResult<Completion> {
+        match self.wait_cq_deadline(n, vi, Duration::ZERO) {
+            Err(ViaError::Timeout) => Err(ViaError::BadState("wait_cq: no completion after pump")),
+            r => r,
+        }
+    }
+
+    fn wait_cq_deadline(
+        &mut self,
+        n: NodeId,
+        vi: ViId,
+        _timeout: Duration,
+    ) -> ViaResult<Completion> {
+        // One full pump drains the deterministic fabric; a completion that
+        // has not arrived by then never will, which is exactly a timeout.
+        if let Some(c) = self.poll_cq(n, vi)? {
+            return Ok(c);
+        }
+        self.pump()?;
+        self.poll_cq(n, vi)?.ok_or(ViaError::Timeout)
+    }
+
+    fn pump(&mut self) -> ViaResult<usize> {
+        ViaSystem::pump(self)
+    }
+
+    fn sci_write(
+        &mut self,
+        src: (NodeId, Pid, VirtAddr),
+        len: usize,
+        dst: (NodeId, MemId, usize),
+    ) -> ViaResult<()> {
+        let (sn, spid, saddr) = src;
+        let (dn, dmem, doff) = dst;
+        self.nodes[dn].check_pio_span(dmem, doff, len)?;
+        let mut buf = std::mem::take(&mut self.pio_scratch);
+        buf.clear();
+        buf.resize(len, 0);
+        let r = self.nodes[sn]
+            .kernel
+            .read_user(spid, saddr, &mut buf)
+            .map_err(ViaError::from)
+            .and_then(|()| self.nodes[dn].sci_write_bytes(&buf, dmem, doff));
+        self.pio_scratch = buf;
+        r
+    }
+
+    fn sci_write_bytes(&mut self, data: &[u8], dst: (NodeId, MemId, usize)) -> ViaResult<()> {
+        let (dn, dmem, doff) = dst;
+        self.nodes[dn].sci_write_bytes(data, dmem, doff)
+    }
+
+    fn sci_read_bytes(&mut self, src: (NodeId, MemId, usize), out: &mut [u8]) -> ViaResult<()> {
+        let (sn, smem, soff) = src;
+        self.nodes[sn].sci_read_bytes(smem, soff, out)
+    }
+
+    fn check_invariants(&mut self) -> Result<(), String> {
+        ViaSystem::check_invariants(self)
     }
 }
 

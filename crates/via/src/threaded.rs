@@ -34,17 +34,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use simmem::{Capabilities, KernelConfig, Pid, VirtAddr};
-use vialock::{impl_since, FaultHandle, FaultSite, StrategyKind};
+use simmem::{KernelConfig, Pid, VirtAddr};
+use vialock::{impl_since, FaultSite, StrategyKind};
 
-use crate::descriptor::Descriptor;
 use crate::error::{ViaError, ViaResult};
-use crate::fabric::Fabric;
-use crate::nic::{NicStats, Node, Packet, PacketKind, DEFAULT_TPT_PAGES};
+use crate::fabric::{connect_rule, Fabric};
+use crate::nic::{Node, Packet, PacketKind, DEFAULT_TPT_PAGES};
 use crate::spsc::{self, Consumer, Doorbell, Producer, PushError};
 use crate::system::NodeId;
-use crate::tpt::{MemId, ProtectionTag};
-use crate::vi::{Completion, Reliability, ViId, ViState};
+use crate::tpt::MemId;
+use crate::vi::{Completion, Reliability, ViId};
 
 /// Default for how long [`NodeCtx::wait_completion`] (and the cluster's
 /// [`Fabric::wait_cq`]) waits before declaring the peer dead. Override
@@ -139,100 +138,23 @@ impl_since!(FabricStats {
     wire_stalls,
 });
 
-/// A closure shipped to a node's service thread by [`Fabric::with_node`].
+/// A closure shipped to a node's service thread by
+/// [`Fabric::try_with_node`].
 type NodeFn = Box<dyn FnOnce(&mut Node) -> Box<dyn Any + Send> + Send>;
 
-/// The fabric-surface operations a [`ThreadedCluster`] ships to a node's
-/// service thread. One command, one [`Reply`], in lockstep.
+/// What a [`ThreadedCluster`] asks of a node's service thread: the few
+/// things that need the [`NodeCtx`] (its wire, its wait ladder, its own
+/// counters). One command, one [`Reply`], in lockstep. Everything that
+/// needs only the [`Node`] is a closure in [`Command::WithNode`] — see the
+/// provided methods of [`Fabric`]; do not add a variant for one.
 enum Command {
-    SpawnProcess,
-    ExitProcess(Pid),
-    Mmap {
-        pid: Pid,
-        len: usize,
-        prot: u8,
-    },
-    Munmap {
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-    },
-    TouchPages {
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-        write: bool,
-    },
-    WriteUser {
-        pid: Pid,
-        addr: VirtAddr,
-        data: Vec<u8>,
-    },
-    ReadUser {
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-    },
-    CreateVi {
-        pid: Pid,
-        tag: ProtectionTag,
-    },
-    SetReliability {
+    /// Block for a completion on `vi` under `timeout`, or under the
+    /// cluster-wide wait budget when `None`.
+    WaitCq {
         vi: ViId,
-        r: Reliability,
-    },
-    /// Half of a cross-node connect: point `vi` at `peer` (must be idle).
-    SetPeer {
-        vi: ViId,
-        peer: (NodeId, ViId),
-    },
-    /// Roll back a half-applied connect whose other side failed.
-    RevertPeer {
-        vi: ViId,
-    },
-    /// Same-node connect: both VIs live here.
-    ConnectLocal {
-        a: ViId,
-        b: ViId,
-    },
-    RegisterMem {
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-        tag: ProtectionTag,
-        rdma_write: bool,
-        rdma_read: bool,
-    },
-    DeregisterMem(MemId),
-    PostSend {
-        vi: ViId,
-        desc: Descriptor,
-    },
-    PostRecv {
-        vi: ViId,
-        desc: Descriptor,
-    },
-    PollCq(ViId),
-    WaitCq(ViId),
-    /// [`Command::WaitCq`] with an explicit per-call deadline instead of
-    /// the cluster-wide wait budget.
-    WaitCqDeadline {
-        vi: ViId,
-        timeout: Duration,
+        timeout: Option<Duration>,
     },
     Pump,
-    SciWriteBytes {
-        data: Vec<u8>,
-        mem: MemId,
-        off: usize,
-    },
-    SciReadBytes {
-        mem: MemId,
-        off: usize,
-        len: usize,
-    },
-    InstallFaultPlan(FaultHandle),
-    NicStats,
     FabricStats,
     /// Local invariants + pool ledger contribution + inbound depth.
     CheckNode,
@@ -247,20 +169,12 @@ enum Command {
 
 /// Service-thread answers, one per [`Command`].
 enum Reply {
-    Pid(Pid),
-    Unit(ViaResult<()>),
-    Addr(ViaResult<VirtAddr>),
-    Bytes(ViaResult<Vec<u8>>),
-    Vi(ViaResult<ViId>),
-    Mem(ViaResult<MemId>),
-    Maybe(ViaResult<Option<Completion>>),
     Completion(ViaResult<Completion>),
     Pumped {
         delivered: usize,
         idle: bool,
         error: Option<ViaError>,
     },
-    Stats(NicStats),
     Fabric(FabricStats),
     Check {
         local: Result<(), String>,
@@ -268,6 +182,8 @@ enum Reply {
         inbound: usize,
     },
     Any(Box<dyn Any + Send>),
+    /// [`Command::Shutdown`] acknowledged.
+    Done,
 }
 
 /// The wire endpoints one node owns: a producer per destination, a
@@ -807,78 +723,9 @@ impl NodeCtx {
     /// flowing while a command is being served.
     fn handle(&mut self, cmd: Command) -> Reply {
         match cmd {
-            Command::SpawnProcess => {
-                Reply::Pid(self.node.kernel.spawn_process(Capabilities::default()))
-            }
-            Command::ExitProcess(pid) => Reply::Unit(self.node.exit_process(pid)),
-            Command::Mmap { pid, len, prot } => Reply::Addr(
-                self.node
-                    .kernel
-                    .mmap_anon(pid, len, prot)
-                    .map_err(ViaError::from),
+            Command::WaitCq { vi, timeout } => Reply::Completion(
+                self.wait_completion_for(vi, timeout.unwrap_or(self.wait_timeout)),
             ),
-            Command::Munmap { pid, addr, len } => Reply::Unit(
-                self.node
-                    .kernel
-                    .munmap(pid, addr, len)
-                    .map_err(ViaError::from),
-            ),
-            Command::TouchPages {
-                pid,
-                addr,
-                len,
-                write,
-            } => Reply::Unit(
-                self.node
-                    .kernel
-                    .touch_pages(pid, addr, len, write)
-                    .map_err(ViaError::from),
-            ),
-            Command::WriteUser { pid, addr, data } => Reply::Unit(
-                self.node
-                    .kernel
-                    .write_user(pid, addr, &data)
-                    .map_err(ViaError::from),
-            ),
-            Command::ReadUser { pid, addr, len } => {
-                let mut buf = vec![0u8; len];
-                Reply::Bytes(
-                    self.node
-                        .kernel
-                        .read_user(pid, addr, &mut buf)
-                        .map(|()| buf)
-                        .map_err(ViaError::from),
-                )
-            }
-            Command::CreateVi { pid, tag } => Reply::Vi(Ok(self.node.nic.create_vi(pid, tag))),
-            Command::SetReliability { vi, r } => {
-                Reply::Unit(self.node.nic.vi_mut(vi).map(|v| v.reliability = r))
-            }
-            Command::SetPeer { vi, peer } => Reply::Unit(self.set_peer(vi, peer)),
-            Command::RevertPeer { vi } => Reply::Unit(self.node.nic.vi_mut(vi).map(|v| {
-                v.peer = None;
-                v.state = ViState::Idle;
-            })),
-            Command::ConnectLocal { a, b } => Reply::Unit(self.connect_local(a, b)),
-            Command::RegisterMem {
-                pid,
-                addr,
-                len,
-                tag,
-                rdma_write,
-                rdma_read,
-            } => Reply::Mem(
-                self.node
-                    .register_mem_attrs(pid, addr, len, tag, rdma_write, rdma_read),
-            ),
-            Command::DeregisterMem(mem) => Reply::Unit(self.node.deregister_mem(mem)),
-            Command::PostSend { vi, desc } => Reply::Unit(self.post(vi, desc, true)),
-            Command::PostRecv { vi, desc } => Reply::Unit(self.post(vi, desc, false)),
-            Command::PollCq(vi) => Reply::Maybe(self.node.nic.vi_mut(vi).map(|v| v.poll_cq())),
-            Command::WaitCq(vi) => Reply::Completion(self.wait_completion(vi)),
-            Command::WaitCqDeadline { vi, timeout } => {
-                Reply::Completion(self.wait_completion_for(vi, timeout))
-            }
             Command::Pump => {
                 let before = self.stats.delivered;
                 let progressed = self.pump_round();
@@ -889,18 +736,6 @@ impl NodeCtx {
                     error: self.pending_error.take(),
                 }
             }
-            Command::SciWriteBytes { data, mem, off } => {
-                Reply::Unit(self.node.sci_write_bytes(&data, mem, off))
-            }
-            Command::SciReadBytes { mem, off, len } => {
-                let mut out = vec![0u8; len];
-                Reply::Bytes(self.node.sci_read_bytes(mem, off, &mut out).map(|()| out))
-            }
-            Command::InstallFaultPlan(plan) => {
-                self.node.install_fault_plan(&plan);
-                Reply::Unit(Ok(()))
-            }
-            Command::NicStats => Reply::Stats(self.node.nic.stats),
             Command::FabricStats => Reply::Fabric(self.stats),
             Command::CheckNode => Reply::Check {
                 local: self.node.check_local_invariants(),
@@ -910,52 +745,9 @@ impl NodeCtx {
                 inbound: self.inbound.len() + self.wire.queued(),
             },
             Command::WithNode(f) => Reply::Any(f(&mut self.node)),
-            Command::Shutdown => Reply::Unit(Ok(())),
+            Command::Shutdown => Reply::Done,
             Command::Die => unreachable!("Die is intercepted by the service loop"),
         }
-    }
-
-    fn set_peer(&mut self, vi: ViId, peer: (NodeId, ViId)) -> ViaResult<()> {
-        let v = self.node.nic.vi_mut(vi)?;
-        if v.state != ViState::Idle {
-            return Err(ViaError::BadState("connect on non-idle VI"));
-        }
-        v.peer = Some(peer);
-        v.state = ViState::Connected;
-        Ok(())
-    }
-
-    fn connect_local(&mut self, a: ViId, b: ViId) -> ViaResult<()> {
-        if self.node.nic.vi(a)?.state != ViState::Idle
-            || self.node.nic.vi(b)?.state != ViState::Idle
-        {
-            return Err(ViaError::BadState("connect on non-idle VI"));
-        }
-        let index = self.index;
-        {
-            let v = self.node.nic.vi_mut(a)?;
-            v.peer = Some((index, b));
-            v.state = ViState::Connected;
-        }
-        {
-            let v = self.node.nic.vi_mut(b)?;
-            v.peer = Some((index, a));
-            v.state = ViState::Connected;
-        }
-        Ok(())
-    }
-
-    fn post(&mut self, vi: ViId, desc: Descriptor, send: bool) -> ViaResult<()> {
-        let v = self.node.nic.vi_mut(vi)?;
-        if v.state == ViState::Error {
-            return Err(ViaError::Disconnected);
-        }
-        if send {
-            v.send_q.push_back(desc);
-        } else {
-            v.recv_q.push_back(desc);
-        }
-        Ok(())
     }
 }
 
@@ -1154,18 +946,28 @@ impl ThreadedCluster {
         self.replies[n].recv().map_err(|_| ViaError::PeerGone(n))
     }
 
-    fn unit(&mut self, n: NodeId, cmd: Command) -> ViaResult<()> {
-        match self.command(n, cmd)? {
-            Reply::Unit(r) => r,
-            _ => unreachable!("reply type mismatch for unit command"),
+    /// Block on node `n` for a completion on `vi`: under `timeout`, or the
+    /// cluster's wait budget when `None`.
+    fn wait(&mut self, n: NodeId, vi: ViId, timeout: Option<Duration>) -> ViaResult<Completion> {
+        match self.command(n, Command::WaitCq { vi, timeout })? {
+            Reply::Completion(r) => r,
+            _ => unreachable!("reply type mismatch for WaitCq"),
         }
     }
 
-    fn bytes(&mut self, n: NodeId, cmd: Command) -> ViaResult<Vec<u8>> {
-        match self.command(n, cmd)? {
-            Reply::Bytes(r) => r,
-            _ => unreachable!("reply type mismatch for bytes command"),
-        }
+    /// Have node `n` fill a fresh `len`-byte buffer and send it back: the
+    /// owned copy a closure has to make where the deterministic fabric
+    /// lends the caller's slice. Callers bound `len` first.
+    fn fetch(
+        &mut self,
+        n: NodeId,
+        len: usize,
+        fill: impl FnOnce(&mut Node, &mut [u8]) -> ViaResult<()> + Send + 'static,
+    ) -> ViaResult<Vec<u8>> {
+        self.try_with_node(n, move |node| {
+            let mut buf = vec![0u8; len];
+            fill(node, &mut buf).map(|()| buf)
+        })?
     }
 
     /// One bounded, best-effort progress round on node `n`. Returns
@@ -1242,18 +1044,21 @@ impl ThreadedCluster {
         Ok(())
     }
 
-    /// Shut every node thread down and return the nodes for post-mortem
-    /// inspection (registries, stats, VI state).
-    pub fn into_nodes(mut self) -> ViaResult<Vec<Node>> {
-        let cmd_txs = std::mem::take(&mut self.cmd_txs);
-        let replies = std::mem::take(&mut self.replies);
-        let mut handles = std::mem::take(&mut self.handles);
-        for (i, tx) in cmd_txs.iter().enumerate() {
+    /// Ask every node thread to shut down and hang up on all of them.
+    fn shut_down(&mut self) {
+        for (i, tx) in self.cmd_txs.iter().enumerate() {
             let _ = tx.send(Command::Shutdown);
             self.bells[i].ring();
         }
-        drop(cmd_txs);
-        drop(replies);
+        self.cmd_txs.clear();
+        self.replies.clear();
+    }
+
+    /// Shut every node thread down and return the nodes for post-mortem
+    /// inspection (registries, stats, VI state).
+    pub fn into_nodes(mut self) -> ViaResult<Vec<Node>> {
+        self.shut_down();
+        let mut handles = std::mem::take(&mut self.handles);
         // Join every thread before reporting: a panicked node must not
         // leave the rest detached, and all dead indices are reported, not
         // just the first.
@@ -1280,12 +1085,7 @@ impl ThreadedCluster {
 
 impl Drop for ThreadedCluster {
     fn drop(&mut self) {
-        for (i, tx) in self.cmd_txs.iter().enumerate() {
-            let _ = tx.send(Command::Shutdown);
-            self.bells[i].ring();
-        }
-        self.cmd_txs.clear();
-        self.replies.clear();
+        self.shut_down();
         for handle in self.handles.iter_mut().filter_map(Option::take) {
             let _ = handle.join();
         }
@@ -1297,166 +1097,41 @@ impl Fabric for ThreadedCluster {
         self.cmd_txs.len()
     }
 
-    fn spawn_process(&mut self, n: NodeId) -> Pid {
-        match self
-            .command(n, Command::SpawnProcess)
-            .unwrap_or_else(|e| panic!("spawn_process: node {n} unreachable: {e}"))
-        {
-            Reply::Pid(p) => p,
-            _ => unreachable!("reply type mismatch for SpawnProcess"),
+    fn try_with_node<R, G>(&mut self, n: NodeId, f: G) -> ViaResult<R>
+    where
+        R: Send + 'static,
+        G: FnOnce(&mut Node) -> R + Send + 'static,
+    {
+        let boxed: NodeFn = Box::new(move |node| Box::new(f(node)) as Box<dyn Any + Send>);
+        match self.command(n, Command::WithNode(boxed))? {
+            Reply::Any(any) => Ok(*any.downcast::<R>().expect("with_node reply type")),
+            _ => unreachable!("reply type mismatch for WithNode"),
         }
-    }
-
-    fn exit_process(&mut self, n: NodeId, pid: Pid) -> ViaResult<()> {
-        self.unit(n, Command::ExitProcess(pid))
-    }
-
-    fn mmap(&mut self, n: NodeId, pid: Pid, len: usize, prot: u8) -> ViaResult<VirtAddr> {
-        match self.command(n, Command::Mmap { pid, len, prot })? {
-            Reply::Addr(r) => r,
-            _ => unreachable!("reply type mismatch for Mmap"),
-        }
-    }
-
-    fn munmap(&mut self, n: NodeId, pid: Pid, addr: VirtAddr, len: usize) -> ViaResult<()> {
-        self.unit(n, Command::Munmap { pid, addr, len })
-    }
-
-    fn touch_pages(
-        &mut self,
-        n: NodeId,
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-        write: bool,
-    ) -> ViaResult<()> {
-        self.unit(
-            n,
-            Command::TouchPages {
-                pid,
-                addr,
-                len,
-                write,
-            },
-        )
     }
 
     fn write_user(&mut self, n: NodeId, pid: Pid, addr: VirtAddr, data: &[u8]) -> ViaResult<()> {
-        self.unit(
-            n,
-            Command::WriteUser {
-                pid,
-                addr,
-                data: data.to_vec(),
-            },
-        )
+        let data = data.to_vec();
+        self.try_with_node(n, move |node| {
+            Ok(node.kernel.write_user(pid, addr, &data)?)
+        })?
     }
 
     fn read_user(&mut self, n: NodeId, pid: Pid, addr: VirtAddr, out: &mut [u8]) -> ViaResult<()> {
-        let bytes = self.bytes(
-            n,
-            Command::ReadUser {
-                pid,
-                addr,
-                len: out.len(),
-            },
-        )?;
+        let bytes = self.fetch(n, out.len(), move |node, buf| {
+            Ok(node.kernel.read_user(pid, addr, buf)?)
+        })?;
         out.copy_from_slice(&bytes);
         Ok(())
     }
 
-    fn create_vi(&mut self, n: NodeId, pid: Pid, tag: ProtectionTag) -> ViaResult<ViId> {
-        match self.command(n, Command::CreateVi { pid, tag })? {
-            Reply::Vi(r) => r,
-            _ => unreachable!("reply type mismatch for CreateVi"),
-        }
-    }
-
-    fn set_reliability(&mut self, n: NodeId, vi: ViId, r: Reliability) -> ViaResult<()> {
-        self.unit(n, Command::SetReliability { vi, r })
-    }
-
     fn connect(&mut self, a: (NodeId, ViId), b: (NodeId, ViId)) -> ViaResult<()> {
-        if a.0 == b.0 {
-            if a.1 == b.1 {
-                return Err(ViaError::BadState("connect VI to itself"));
-            }
-            return self.unit(a.0, Command::ConnectLocal { a: a.1, b: b.1 });
-        }
-        self.unit(
-            a.0,
-            Command::SetPeer {
-                vi: a.1,
-                peer: (b.0, b.1),
-            },
-        )?;
-        match self.unit(
-            b.0,
-            Command::SetPeer {
-                vi: b.1,
-                peer: (a.0, a.1),
-            },
-        ) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Roll the first half back so a failed connect leaves
-                // both VIs idle.
-                let _ = self.unit(a.0, Command::RevertPeer { vi: a.1 });
-                Err(e)
-            }
-        }
-    }
-
-    fn register_mem_attrs(
-        &mut self,
-        n: NodeId,
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-        tag: ProtectionTag,
-        rdma_write: bool,
-        rdma_read: bool,
-    ) -> ViaResult<MemId> {
-        match self.command(
-            n,
-            Command::RegisterMem {
-                pid,
-                addr,
-                len,
-                tag,
-                rdma_write,
-                rdma_read,
-            },
-        )? {
-            Reply::Mem(r) => r,
-            _ => unreachable!("reply type mismatch for RegisterMem"),
-        }
-    }
-
-    fn deregister_mem(&mut self, n: NodeId, mem: MemId) -> ViaResult<()> {
-        self.unit(n, Command::DeregisterMem(mem))
-    }
-
-    fn post_send_desc(&mut self, n: NodeId, vi: ViId, desc: Descriptor) -> ViaResult<()> {
-        self.unit(n, Command::PostSend { vi, desc })
-    }
-
-    fn post_recv_desc(&mut self, n: NodeId, vi: ViId, desc: Descriptor) -> ViaResult<()> {
-        self.unit(n, Command::PostRecv { vi, desc })
-    }
-
-    fn poll_cq(&mut self, n: NodeId, vi: ViId) -> ViaResult<Option<Completion>> {
-        match self.command(n, Command::PollCq(vi))? {
-            Reply::Maybe(r) => r,
-            _ => unreachable!("reply type mismatch for PollCq"),
-        }
+        connect_rule(a, b, |n, edit| {
+            self.try_with_node(n, move |node| edit(&mut node.nic))?
+        })
     }
 
     fn wait_cq(&mut self, n: NodeId, vi: ViId) -> ViaResult<Completion> {
-        match self.command(n, Command::WaitCq(vi))? {
-            Reply::Completion(r) => r,
-            _ => unreachable!("reply type mismatch for WaitCq"),
-        }
+        self.wait(n, vi, None)
     }
 
     fn wait_cq_deadline(
@@ -1465,10 +1140,7 @@ impl Fabric for ThreadedCluster {
         vi: ViId,
         timeout: Duration,
     ) -> ViaResult<Completion> {
-        match self.command(n, Command::WaitCqDeadline { vi, timeout })? {
-            Reply::Completion(r) => r,
-            _ => unreachable!("reply type mismatch for WaitCqDeadline"),
-        }
+        self.wait(n, vi, Some(timeout))
     }
 
     fn pump(&mut self) -> ViaResult<usize> {
@@ -1495,48 +1167,27 @@ impl Fabric for ThreadedCluster {
         dst: (NodeId, MemId, usize),
     ) -> ViaResult<()> {
         let (sn, spid, saddr) = src;
-        let data = self.bytes(
-            sn,
-            Command::ReadUser {
-                pid: spid,
-                addr: saddr,
-                len,
-            },
-        )?;
+        let (dn, dmem, doff) = dst;
+        self.try_with_node(dn, move |node| node.check_pio_span(dmem, doff, len))??;
+        let data = self.fetch(sn, len, move |node, buf| {
+            Ok(node.kernel.read_user(spid, saddr, buf)?)
+        })?;
         self.sci_write_bytes(&data, dst)
     }
 
     fn sci_write_bytes(&mut self, data: &[u8], dst: (NodeId, MemId, usize)) -> ViaResult<()> {
         let (dn, dmem, doff) = dst;
-        self.unit(
-            dn,
-            Command::SciWriteBytes {
-                data: data.to_vec(),
-                mem: dmem,
-                off: doff,
-            },
-        )
+        let data = data.to_vec();
+        self.try_with_node(dn, move |node| node.sci_write_bytes(&data, dmem, doff))?
     }
 
     fn sci_read_bytes(&mut self, src: (NodeId, MemId, usize), out: &mut [u8]) -> ViaResult<()> {
         let (sn, smem, soff) = src;
-        let bytes = self.bytes(
-            sn,
-            Command::SciReadBytes {
-                mem: smem,
-                off: soff,
-                len: out.len(),
-            },
-        )?;
+        let bytes = self.fetch(sn, out.len(), move |node, buf| {
+            node.sci_read_bytes(smem, soff, buf)
+        })?;
         out.copy_from_slice(&bytes);
         Ok(())
-    }
-
-    fn install_fault_plan(&mut self, plan: &FaultHandle) {
-        for n in 0..self.cmd_txs.len() {
-            self.unit(n, Command::InstallFaultPlan(plan.clone()))
-                .unwrap_or_else(|e| panic!("install_fault_plan: node {n} unreachable: {e}"));
-        }
     }
 
     fn check_invariants(&mut self) -> Result<(), String> {
@@ -1574,31 +1225,6 @@ impl Fabric for ThreadedCluster {
         }
         Ok(())
     }
-
-    fn nic_stats(&mut self, n: NodeId) -> NicStats {
-        match self
-            .command(n, Command::NicStats)
-            .unwrap_or_else(|e| panic!("nic_stats: node {n} unreachable: {e}"))
-        {
-            Reply::Stats(s) => s,
-            _ => unreachable!("reply type mismatch for NicStats"),
-        }
-    }
-
-    fn with_node<R, G>(&mut self, n: NodeId, f: G) -> R
-    where
-        R: Send + 'static,
-        G: FnOnce(&mut Node) -> R + Send + 'static,
-    {
-        let boxed: NodeFn = Box::new(move |node| Box::new(f(node)) as Box<dyn Any + Send>);
-        match self
-            .command(n, Command::WithNode(boxed))
-            .unwrap_or_else(|e| panic!("with_node: node {n} unreachable: {e}"))
-        {
-            Reply::Any(any) => *any.downcast::<R>().expect("with_node reply type"),
-            _ => unreachable!("reply type mismatch for WithNode"),
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -1608,25 +1234,7 @@ impl Fabric for ThreadedCluster {
 /// Wire two VIs of two (not yet split) nodes together; slice-indexed, so
 /// same-node connects work too. Both VIs must be idle.
 pub fn connect_nodes(nodes: &mut [Node], a: (usize, ViId), b: (usize, ViId)) -> ViaResult<()> {
-    if a.0 == b.0 && a.1 == b.1 {
-        return Err(ViaError::BadState("connect VI to itself"));
-    }
-    if nodes[a.0].nic.vi(a.1)?.state != ViState::Idle
-        || nodes[b.0].nic.vi(b.1)?.state != ViState::Idle
-    {
-        return Err(ViaError::BadState("connect on non-idle VI"));
-    }
-    {
-        let v = nodes[a.0].nic.vi_mut(a.1)?;
-        v.peer = Some((b.0, b.1));
-        v.state = ViState::Connected;
-    }
-    {
-        let v = nodes[b.0].nic.vi_mut(b.1)?;
-        v.peer = Some((a.0, a.1));
-        v.state = ViState::Connected;
-    }
-    Ok(())
+    connect_rule(a, b, |n, edit| edit(&mut nodes[n].nic))
 }
 
 /// Run N nodes on N threads with the default [`WAIT_TIMEOUT`]. See
@@ -1722,8 +1330,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::Descriptor;
     use crate::tpt::ProtectionTag;
-    use simmem::{prot, KernelConfig, PAGE_SIZE};
+    use simmem::{prot, Capabilities, KernelConfig, PAGE_SIZE};
     use vialock::StrategyKind;
 
     type Driver<R> = Box<dyn FnOnce(&mut NodeCtx) -> ViaResult<R> + Send>;
@@ -1765,14 +1374,8 @@ mod tests {
                     // (reliable mode drops unmatched messages).
                     ctx.node
                         .nic
-                        .vi_mut(v0)?
-                        .recv_q
-                        .push_back(crate::descriptor::Descriptor::recv(m0, b0, len));
-                    ctx.node
-                        .nic
-                        .vi_mut(v0)?
-                        .send_q
-                        .push_back(crate::descriptor::Descriptor::send(m0, b0, 256));
+                        .post(v0, Descriptor::recv(m0, b0, len), false)?;
+                    ctx.node.nic.post(v0, Descriptor::send(m0, b0, 256), true)?;
                     // Send completion, then pong arrival.
                     let c = ctx.wait_completion(v0)?;
                     assert_eq!(c.op, crate::descriptor::DescOp::Send);
@@ -1788,9 +1391,7 @@ mod tests {
                 for i in 0..ROUNDS {
                     ctx.node
                         .nic
-                        .vi_mut(v1)?
-                        .recv_q
-                        .push_back(crate::descriptor::Descriptor::recv(m1, b1, len));
+                        .post(v1, Descriptor::recv(m1, b1, len), false)?;
                     // Wait for the ping.
                     loop {
                         let c = ctx.wait_completion(v1)?;
@@ -1804,11 +1405,7 @@ mod tests {
                         }
                     }
                     // Pong it back.
-                    ctx.node
-                        .nic
-                        .vi_mut(v1)?
-                        .send_q
-                        .push_back(crate::descriptor::Descriptor::send(m1, b1, 256));
+                    ctx.node.nic.post(v1, Descriptor::send(m1, b1, 256), true)?;
                     let c = ctx.wait_completion(v1)?;
                     assert_eq!(c.op, crate::descriptor::DescOp::Send);
                 }
@@ -1853,15 +1450,11 @@ mod tests {
                 // Stream 16 RDMA writes, one page each.
                 for i in 0..16usize {
                     let off = (i % 8) * PAGE_SIZE;
-                    ctx.node.nic.vi_mut(v0)?.send_q.push_back(
-                        crate::descriptor::Descriptor::rdma_write(
-                            m0,
-                            b0 + off as u64,
-                            PAGE_SIZE,
-                            m1,
-                            b1 + off as u64,
-                        ),
-                    );
+                    ctx.node.nic.post(
+                        v0,
+                        Descriptor::rdma_write(m0, b0 + off as u64, PAGE_SIZE, m1, b1 + off as u64),
+                        true,
+                    )?;
                     let c = ctx.wait_completion(v0)?;
                     assert_eq!(c.op, crate::descriptor::DescOp::RdmaWrite);
                 }
@@ -1929,11 +1522,7 @@ mod tests {
         let drivers: Vec<Driver<()>> = vec![
             Box::new(move |ctx| {
                 ctx.node.kernel.write_user(p0, b0, b"relay me!")?;
-                ctx.node
-                    .nic
-                    .vi_mut(v0)?
-                    .send_q
-                    .push_back(crate::descriptor::Descriptor::send(m0, b0, 9));
+                ctx.node.nic.post(v0, Descriptor::send(m0, b0, 9), true)?;
                 let c = ctx.wait_completion(v0)?;
                 assert_eq!(c.op, crate::descriptor::DescOp::Send);
                 Ok(())
@@ -1942,16 +1531,12 @@ mod tests {
                 // Receive from node 0, forward to node 2.
                 ctx.node
                     .nic
-                    .vi_mut(v1a)?
-                    .recv_q
-                    .push_back(crate::descriptor::Descriptor::recv(m1, b1, len));
+                    .post(v1a, Descriptor::recv(m1, b1, len), false)?;
                 let c = ctx.wait_completion(v1a)?;
                 assert_eq!(c.op, crate::descriptor::DescOp::Recv);
                 ctx.node
                     .nic
-                    .vi_mut(v1b)?
-                    .send_q
-                    .push_back(crate::descriptor::Descriptor::send(m1, b1, c.len));
+                    .post(v1b, Descriptor::send(m1, b1, c.len), true)?;
                 let c = ctx.wait_completion(v1b)?;
                 assert_eq!(c.op, crate::descriptor::DescOp::Send);
                 Ok(())
@@ -1959,9 +1544,7 @@ mod tests {
             Box::new(move |ctx| {
                 ctx.node
                     .nic
-                    .vi_mut(v2)?
-                    .recv_q
-                    .push_back(crate::descriptor::Descriptor::recv(m2, b2, len));
+                    .post(v2, Descriptor::recv(m2, b2, len), false)?;
                 let c = ctx.wait_completion(v2)?;
                 assert_eq!(c.op, crate::descriptor::DescOp::Recv);
                 assert_eq!(c.len, 9);
@@ -2014,25 +1597,6 @@ mod tests {
         assert!(nodes[1].nic.stats.recvs >= 1);
     }
 
-    /// `with_node` ships a closure into the service thread and returns
-    /// its result; `sci_write_bytes`/`sci_read_bytes` round-trip through
-    /// the command layer.
-    #[test]
-    fn cluster_with_node_and_sci() {
-        let mut fab = ThreadedCluster::new(2, KernelConfig::small(), StrategyKind::KiobufReliable);
-        let p = fab.spawn_process(1);
-        let tag = ProtectionTag(4);
-        let buf = fab.mmap(1, p, PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
-        let mem = fab.register_mem(1, p, buf, PAGE_SIZE, tag).unwrap();
-        fab.sci_write_bytes(b"remote pio", (1, mem, 16)).unwrap();
-        let mut out = [0u8; 10];
-        fab.sci_read_bytes((1, mem, 16), &mut out).unwrap();
-        assert_eq!(&out, b"remote pio");
-        let pins = fab.with_node(1, |node| node.nic.stats.sends);
-        assert_eq!(pins, 0);
-        fab.check_invariants().unwrap();
-    }
-
     /// A tightened wait budget actually bites: waiting on a CQ nobody
     /// will ever complete surfaces the typed [`ViaError::Timeout`]
     /// quickly instead of after 5 s.
@@ -2048,26 +1612,6 @@ mod tests {
         let r = fab.wait_cq(0, vi);
         assert!(matches!(r, Err(ViaError::Timeout)), "got {r:?}");
         assert!(start.elapsed() < Duration::from_secs(2));
-    }
-
-    /// Connecting across non-idle VIs fails atomically: the first half is
-    /// rolled back.
-    #[test]
-    fn cluster_connect_rolls_back() {
-        let mut fab = ThreadedCluster::new(2, KernelConfig::small(), StrategyKind::KiobufReliable);
-        let pa = fab.spawn_process(0);
-        let pb = fab.spawn_process(1);
-        let tag = ProtectionTag(2);
-        let va = fab.create_vi(0, pa, tag).unwrap();
-        let vb = fab.create_vi(1, pb, tag).unwrap();
-        let vc = fab.create_vi(1, pb, tag).unwrap();
-        fab.connect((0, va), (1, vb)).unwrap();
-        // vb is now connected; connecting a fresh VI to it must fail and
-        // leave the fresh VI idle.
-        let vd = fab.create_vi(0, pa, tag).unwrap();
-        assert!(fab.connect((0, vd), (1, vb)).is_err());
-        // vd was rolled back to idle, so this connect succeeds.
-        fab.connect((0, vd), (1, vc)).unwrap();
     }
 
     /// A tiny ring capacity forces the backpressure path: stage hits
@@ -2100,10 +1644,10 @@ mod tests {
             fab.post_recv(1, v1, m1, b1, 64).unwrap();
         }
         fab.with_node(0, move |node| {
-            let vi = node.nic.vi_mut(v0).expect("sender VI");
             for _ in 0..BURST {
-                vi.send_q
-                    .push_back(crate::descriptor::Descriptor::send(m0, b0, 64));
+                node.nic
+                    .post(v0, Descriptor::send(m0, b0, 64), true)
+                    .expect("sender VI");
             }
         });
         for _ in 0..BURST {

@@ -74,12 +74,11 @@ fn main() {
         slabs[i] = (b, m);
         // Pre-post every receive, one slot per message.
         for k in 0..MSGS {
+            let slot = Descriptor::recv(m, b + (k * MSG_BYTES) as u64, MSG_BYTES);
             nodes[i]
                 .nic
-                .vi_mut(vin[i].expect("vin"))
-                .unwrap()
-                .recv_q
-                .push_back(Descriptor::recv(m, b + (k * MSG_BYTES) as u64, MSG_BYTES));
+                .post(vin[i].expect("vin"), slot, false)
+                .unwrap();
         }
     }
 
@@ -99,12 +98,11 @@ fn main() {
                     ctx.node
                         .kernel
                         .write_user(pid, b0, &vec![(k % 251) as u8; MSG_BYTES])?;
+                    let out = vi_out.expect("head sends");
                     ctx.node
                         .nic
-                        .vi_mut(vi_out.expect("head sends"))?
-                        .send_q
-                        .push_back(Descriptor::send(m0, b0, MSG_BYTES));
-                    let c = ctx.wait_completion(vi_out.expect("head sends"))?;
+                        .post(out, Descriptor::send(m0, b0, MSG_BYTES), true)?;
+                    let c = ctx.wait_completion(out)?;
                     assert_eq!(c.op, DescOp::Send);
                     handled += 1;
                 }
@@ -117,11 +115,11 @@ fn main() {
                     assert_eq!(c.len, MSG_BYTES);
                     if let Some(out) = vi_out {
                         let slot = slab_addr + (k * MSG_BYTES) as u64;
-                        ctx.node
-                            .nic
-                            .vi_mut(out)?
-                            .send_q
-                            .push_back(Descriptor::send(slab_mem, slot, MSG_BYTES));
+                        ctx.node.nic.post(
+                            out,
+                            Descriptor::send(slab_mem, slot, MSG_BYTES),
+                            true,
+                        )?;
                         loop {
                             if ctx.wait_completion(out)?.op == DescOp::Send {
                                 break;

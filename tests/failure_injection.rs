@@ -5,7 +5,7 @@
 use simmem::{prot, Capabilities, Kernel, KernelConfig, MmError, PAGE_SIZE};
 use via::nic::Node;
 use via::tpt::ProtectionTag;
-use via::{DescOp, Descriptor, ViaError, ViaSystem};
+use via::{DescOp, Descriptor, Fabric, ThreadedCluster, ViaError, ViaSystem};
 use vialock::{MemoryRegistry, RegError, StrategyKind};
 
 #[test]
@@ -335,4 +335,45 @@ fn wrapping_and_oversized_spans_are_refused_like_ordinary_out_of_range_ones() {
     let got = span_outcome(DescOp::AtomicCas, Aim::Abs(u64::MAX - 7), 8);
     assert_eq!(got, span_outcome(DescOp::AtomicCas, Aim::PastEnd, 8));
     assert!(got.contains("ProtectionError"), "{got}");
+}
+
+/// `sci_write` of `len` bytes at byte offset `off` into a 2-page exported
+/// region, on one fabric: the result, and what the target holds afterwards.
+fn sci_write_outcome<F: Fabric>(fab: &mut F, off: usize, len: usize) -> String {
+    let rw = prot::READ | prot::WRITE;
+    let tag = ProtectionTag(3);
+    let (pa, pb) = (fab.spawn_process(0), fab.spawn_process(1));
+    let src = fab.mmap(0, pa, 2 * PAGE_SIZE, rw).unwrap();
+    let dst = fab.mmap(1, pb, 2 * PAGE_SIZE, rw).unwrap();
+    fab.write_user(0, pa, src, &[0xAB; 2 * PAGE_SIZE]).unwrap();
+    let exported = fab.register_mem(1, pb, dst, 2 * PAGE_SIZE, tag).unwrap();
+    let r = fab.sci_write((0, pa, src), len, (1, exported, off));
+    let mut held = vec![0u8; 2 * PAGE_SIZE];
+    fab.read_user(1, pb, dst, &mut held).unwrap();
+    fab.check_invariants().unwrap();
+    let stored = held.iter().filter(|&&b| b == 0xAB).count();
+    format!("{r:?} stored {stored}")
+}
+
+#[test]
+fn sci_write_checks_the_destination_before_it_sizes_a_buffer() {
+    // The length is the caller's; the staging buffer is ours. A length no
+    // exported region could hold is refused typed, on both fabrics, before
+    // either allocates for it — and one that fits still lands.
+    let cases = [
+        (0, 1usize << 46, "Err(OutOfBounds) stored 0"),
+        (0, usize::MAX, "Err(OutOfBounds) stored 0"),
+        (8, usize::MAX - 4, "Err(OutOfBounds) stored 0"),
+        (0, 2 * PAGE_SIZE + 1, "Err(OutOfBounds) stored 0"),
+        (PAGE_SIZE, PAGE_SIZE + 1, "Err(OutOfBounds) stored 0"),
+        (PAGE_SIZE - 8, PAGE_SIZE, "Ok(()) stored 4096"),
+        (0, 2 * PAGE_SIZE, "Ok(()) stored 8192"),
+    ];
+    for (off, len, want) in cases {
+        let (cfg, strategy) = (KernelConfig::small(), StrategyKind::KiobufReliable);
+        let got = sci_write_outcome(&mut ViaSystem::new(2, cfg, strategy), off, len);
+        assert_eq!(got, want, "deterministic fabric, off {off} len {len}");
+        let got = sci_write_outcome(&mut ThreadedCluster::new(2, cfg, strategy), off, len);
+        assert_eq!(got, want, "threaded fabric, off {off} len {len}");
+    }
 }

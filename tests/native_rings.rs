@@ -7,7 +7,6 @@ use via::descriptor::{DescOp, Descriptor};
 use via::nic::Node;
 use via::ring::DescriptorRing;
 use via::tpt::ProtectionTag;
-use via::vi::ViState;
 use vialock::StrategyKind;
 
 struct RingNode {
@@ -48,16 +47,8 @@ fn setup_pair() -> (RingNode, RingNode, ProtectionTag) {
     let mut a = make(0);
     let mut b = make(1);
     // Connect the VIs across "the fabric".
-    {
-        let v = a.node.nic.vi_mut(a.vi).unwrap();
-        v.peer = Some((1, b.vi));
-        v.state = ViState::Connected;
-    }
-    {
-        let v = b.node.nic.vi_mut(b.vi).unwrap();
-        v.peer = Some((0, a.vi));
-        v.state = ViState::Connected;
-    }
+    a.node.nic.set_peer(a.vi, (1, b.vi)).unwrap();
+    b.node.nic.set_peer(b.vi, (0, a.vi)).unwrap();
     (a, b, tag)
 }
 
