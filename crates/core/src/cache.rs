@@ -20,6 +20,7 @@ use crate::error::{RegError, RegResult};
 use crate::lru::{CacheReleaseError, CoveringLru};
 use crate::region::MemHandle;
 use crate::registry::MemoryRegistry;
+use crate::strategy::PageSpan;
 
 pub use crate::lru::CacheStats;
 
@@ -46,7 +47,8 @@ impl RegistrationCache {
 
     /// Acquire a registration for `[addr, addr+len)`: reuse a cached one
     /// (exact span or any covering span) or register anew. Pair every
-    /// acquire with [`RegistrationCache::release`].
+    /// acquire with [`RegistrationCache::release`]. A span that wraps the
+    /// address space is refused before the cache is consulted.
     pub fn acquire(
         &mut self,
         kernel: &mut Kernel,
@@ -55,14 +57,13 @@ impl RegistrationCache {
         addr: VirtAddr,
         len: usize,
     ) -> RegResult<MemHandle> {
-        if let Some(handle) = self.lru.acquire(pid, addr, len) {
+        let span = PageSpan::of(addr, len)?;
+        if let Some(handle) = self.lru.acquire(pid, span) {
             return Ok(handle);
         }
         // Register the full page span so any sub-span request hits.
-        let page_base = simmem::page_base(addr);
-        let span_len = crate::strategy::npages(addr, len) * simmem::PAGE_SIZE;
-        let handle = registry.register(kernel, pid, page_base, span_len)?;
-        self.lru.admit(pid, addr, len, handle);
+        let handle = registry.register(kernel, pid, span.base, span.bytes())?;
+        self.lru.admit(pid, span, handle);
         Ok(handle)
     }
 
@@ -254,6 +255,22 @@ mod tests {
             cache.release(&mut k, &mut reg, MemHandle(999)),
             Err(RegError::NoSuchHandle)
         );
+    }
+
+    #[test]
+    fn wrapping_span_is_refused_before_the_lru_is_touched() {
+        // The page-aligned end of the span does not fit in a u64: a typed
+        // refusal (it used to overflow in the span arithmetic), with no
+        // lookup counted and nothing registered or cached.
+        let (mut k, pid, _, mut reg) = setup();
+        let mut cache = RegistrationCache::new(64);
+        assert_eq!(
+            cache.acquire(&mut k, &mut reg, pid, u64::MAX - 100, 200),
+            Err(RegError::InvalidArgument("region wraps the address space"))
+        );
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert!(cache.is_empty());
+        assert_eq!(reg.live_regions(), 0);
     }
 
     #[test]

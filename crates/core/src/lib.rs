@@ -73,4 +73,4 @@ pub use lru::{CacheReleaseError, CoveringLru};
 pub use pin::PinTable;
 pub use region::{MemHandle, Region, RegionTable};
 pub use registry::{MemoryRegistry, RegistryStats};
-pub use strategy::{PinToken, StrategyKind};
+pub use strategy::{PageSpan, PinToken, StrategyKind};

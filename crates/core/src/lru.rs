@@ -21,9 +21,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-use simmem::{Pid, VirtAddr, PAGE_SIZE};
+use simmem::Pid;
 
 use crate::span::SpanIndex;
+use crate::strategy::PageSpan;
 
 /// Cache performance counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -63,22 +64,7 @@ pub enum CacheReleaseError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SpanKey {
     pid: Pid,
-    page_base: VirtAddr,
-    npages: usize,
-}
-
-impl SpanKey {
-    fn of(pid: Pid, addr: VirtAddr, len: usize) -> Self {
-        SpanKey {
-            pid,
-            page_base: simmem::page_base(addr),
-            npages: crate::strategy::npages(addr, len),
-        }
-    }
-
-    fn end(&self) -> VirtAddr {
-        self.page_base + (self.npages * PAGE_SIZE) as u64
-    }
+    span: PageSpan,
 }
 
 struct Entry<H> {
@@ -121,19 +107,19 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
         }
     }
 
-    /// Look up `[addr, addr+len)` for `pid`: an exact-span or covering-span
-    /// hit bumps the entry's use count and returns its handle; a miss
-    /// returns `None` and the caller registers the full page span, then
-    /// calls [`CoveringLru::admit`]. Stats are counted here for all three
+    /// Look up `span` for `pid`: an exact-span or covering-span hit bumps
+    /// the entry's use count and returns its handle; a miss returns `None`
+    /// and the caller registers the span, then calls
+    /// [`CoveringLru::admit`]. Stats are counted here for all three
     /// outcomes.
-    pub fn acquire(&mut self, pid: Pid, addr: VirtAddr, len: usize) -> Option<H> {
-        let key = SpanKey::of(pid, addr, len);
+    pub fn acquire(&mut self, pid: Pid, span: PageSpan) -> Option<H> {
+        let key = SpanKey { pid, span };
         self.clock += 1;
         if self.entries.contains_key(&key) {
             self.stats.hits += 1;
             return Some(self.touch(key));
         }
-        if let Some(ckey) = self.index.find_covering(pid, key.page_base, key.end()) {
+        if let Some(ckey) = self.index.find_covering(pid, span.base, span.end()) {
             self.stats.covering_hits += 1;
             return Some(self.touch(ckey));
         }
@@ -153,10 +139,10 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
     }
 
     /// Record the registration a miss produced. The caller must have
-    /// registered the full page span of `[addr, addr+len)` (so future
-    /// sub-range requests hit). The entry starts with one user.
-    pub fn admit(&mut self, pid: Pid, addr: VirtAddr, len: usize, handle: H) {
-        let key = SpanKey::of(pid, addr, len);
+    /// registered the whole of `span` (so future sub-range requests hit).
+    /// The entry starts with one user.
+    pub fn admit(&mut self, pid: Pid, span: PageSpan, handle: H) {
+        let key = SpanKey { pid, span };
         assert!(
             !self.entries.contains_key(&key),
             "admit of an already-cached span; acquire first"
@@ -167,12 +153,12 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
                 handle,
                 users: 1,
                 stamp: self.clock,
-                npages: key.npages,
+                npages: span.npages,
             },
         );
         self.by_handle.insert(handle, key);
-        self.index.insert(pid, key.page_base, key.end(), key);
-        self.cached_pages += key.npages;
+        self.index.insert(pid, span.base, span.end(), key);
+        self.cached_pages += span.npages;
     }
 
     /// Release one acquisition of `handle`. The registration stays cached;
@@ -256,7 +242,7 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
     fn detach(&mut self, key: SpanKey) -> Entry<H> {
         let e = self.entries.remove(&key).expect("caller holds a live key");
         self.by_handle.remove(&e.handle);
-        self.index.remove(key.pid, key.page_base, key);
+        self.index.remove(key.pid, key.span.base, key);
         self.cached_pages -= e.npages;
         e
     }
@@ -290,21 +276,26 @@ impl<H: Copy + Eq + Hash> CoveringLru<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simmem::{VirtAddr, PAGE_SIZE};
 
     const P: Pid = Pid(1);
     const PG: u64 = PAGE_SIZE as u64;
 
+    fn span(addr: VirtAddr, len: usize) -> PageSpan {
+        PageSpan::of(addr, len).unwrap()
+    }
+
     #[test]
     fn exact_then_covering_then_miss() {
         let mut c: CoveringLru<u32> = CoveringLru::new(64);
-        assert_eq!(c.acquire(P, 8 * PG, 8 * PAGE_SIZE), None);
-        c.admit(P, 8 * PG, 8 * PAGE_SIZE, 1);
+        assert_eq!(c.acquire(P, span(8 * PG, 8 * PAGE_SIZE)), None);
+        c.admit(P, span(8 * PG, 8 * PAGE_SIZE), 1);
         // Exact.
-        assert_eq!(c.acquire(P, 8 * PG, 8 * PAGE_SIZE), Some(1));
+        assert_eq!(c.acquire(P, span(8 * PG, 8 * PAGE_SIZE)), Some(1));
         // Sub-span → covering hit on the same handle.
-        assert_eq!(c.acquire(P, 9 * PG, 3 * PAGE_SIZE), Some(1));
+        assert_eq!(c.acquire(P, span(9 * PG, 3 * PAGE_SIZE)), Some(1));
         // Overhang → miss.
-        assert_eq!(c.acquire(P, 12 * PG, 8 * PAGE_SIZE), None);
+        assert_eq!(c.acquire(P, span(12 * PG, 8 * PAGE_SIZE)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.covering_hits, s.misses), (1, 1, 2));
         // Three acquisitions succeeded → three releases.
@@ -319,8 +310,8 @@ mod tests {
     fn eviction_is_lru_and_skips_in_use() {
         let mut c: CoveringLru<u32> = CoveringLru::new(8);
         for (i, h) in [(0u64, 10u32), (1, 11), (2, 12)] {
-            assert_eq!(c.acquire(P, i * 4 * PG, 4 * PAGE_SIZE), None);
-            c.admit(P, i * 4 * PG, 4 * PAGE_SIZE, h);
+            assert_eq!(c.acquire(P, span(i * 4 * PG, 4 * PAGE_SIZE)), None);
+            c.admit(P, span(i * 4 * PG, 4 * PAGE_SIZE), h);
         }
         // Only 10 and 12 released; 11 stays in use.
         c.release(10).unwrap();
@@ -330,17 +321,17 @@ mod tests {
         assert_eq!(c.evict_over_budget(), vec![10]);
         assert_eq!(c.cached_pages(), 8);
         // Covering lookups no longer see the evicted span.
-        assert_eq!(c.acquire(P, 0, PAGE_SIZE), None);
+        assert_eq!(c.acquire(P, span(0, PAGE_SIZE)), None);
         c.release(11).unwrap();
     }
 
     #[test]
     fn drain_idle_leaves_users() {
         let mut c: CoveringLru<u32> = CoveringLru::new(64);
-        c.acquire(P, 0, PAGE_SIZE);
-        c.admit(P, 0, PAGE_SIZE, 1);
-        c.acquire(P, 4 * PG, PAGE_SIZE);
-        c.admit(P, 4 * PG, PAGE_SIZE, 2);
+        c.acquire(P, span(0, PAGE_SIZE));
+        c.admit(P, span(0, PAGE_SIZE), 1);
+        c.acquire(P, span(4 * PG, PAGE_SIZE));
+        c.admit(P, span(4 * PG, PAGE_SIZE), 2);
         c.release(2).unwrap();
         assert_eq!(c.drain_idle(), vec![2]);
         assert_eq!(c.len(), 1);
@@ -352,8 +343,8 @@ mod tests {
     fn evict_pages_makes_room_below_the_budget() {
         let mut c: CoveringLru<u32> = CoveringLru::new(64);
         for (i, h) in [(0u64, 10u32), (1, 11), (2, 12)] {
-            c.acquire(P, i * 4 * PG, 4 * PAGE_SIZE);
-            c.admit(P, i * 4 * PG, 4 * PAGE_SIZE, h);
+            c.acquire(P, span(i * 4 * PG, 4 * PAGE_SIZE));
+            c.admit(P, span(i * 4 * PG, 4 * PAGE_SIZE), h);
         }
         c.release(10).unwrap();
         c.release(11).unwrap();
@@ -372,36 +363,36 @@ mod tests {
     fn forget_pid_drops_busy_and_idle_entries_of_that_pid_only() {
         let other = Pid(2);
         let mut c: CoveringLru<u32> = CoveringLru::new(64);
-        c.acquire(P, 0, PAGE_SIZE);
-        c.admit(P, 0, PAGE_SIZE, 1); // stays in use
-        c.acquire(P, 4 * PG, 2 * PAGE_SIZE);
-        c.admit(P, 4 * PG, 2 * PAGE_SIZE, 2);
+        c.acquire(P, span(0, PAGE_SIZE));
+        c.admit(P, span(0, PAGE_SIZE), 1); // stays in use
+        c.acquire(P, span(4 * PG, 2 * PAGE_SIZE));
+        c.admit(P, span(4 * PG, 2 * PAGE_SIZE), 2);
         c.release(2).unwrap(); // idle
-        c.acquire(other, 0, PAGE_SIZE);
-        c.admit(other, 0, PAGE_SIZE, 3);
+        c.acquire(other, span(0, PAGE_SIZE));
+        c.admit(other, span(0, PAGE_SIZE), 3);
         c.release(3).unwrap();
         c.forget_pid(P);
         assert_eq!((c.len(), c.cached_pages(), c.in_use()), (1, 1, 0));
         assert_eq!(c.stats().evictions, 0, "forgotten, not evicted");
         assert_eq!(c.release(1), Err(CacheReleaseError::UnknownHandle));
-        assert_eq!(c.acquire(P, 0, PAGE_SIZE), None);
+        assert_eq!(c.acquire(P, span(0, PAGE_SIZE)), None);
         assert_eq!(c.drain_idle(), vec![3]);
     }
 
     #[test]
     fn reacquire_after_idle_restores_eviction_order() {
         let mut c: CoveringLru<u32> = CoveringLru::new(2);
-        c.acquire(P, 0, PAGE_SIZE);
-        c.admit(P, 0, PAGE_SIZE, 1);
-        c.acquire(P, 4 * PG, PAGE_SIZE);
-        c.admit(P, 4 * PG, PAGE_SIZE, 2);
+        c.acquire(P, span(0, PAGE_SIZE));
+        c.admit(P, span(0, PAGE_SIZE), 1);
+        c.acquire(P, span(4 * PG, PAGE_SIZE));
+        c.admit(P, span(4 * PG, PAGE_SIZE), 2);
         c.release(1).unwrap();
         c.release(2).unwrap();
         // Touch 1 again: 2 becomes the LRU victim.
-        assert_eq!(c.acquire(P, 0, PAGE_SIZE), Some(1));
+        assert_eq!(c.acquire(P, span(0, PAGE_SIZE)), Some(1));
         c.release(1).unwrap();
-        c.acquire(P, 8 * PG, PAGE_SIZE);
-        c.admit(P, 8 * PG, PAGE_SIZE, 3);
+        c.acquire(P, span(8 * PG, PAGE_SIZE));
+        c.admit(P, span(8 * PG, PAGE_SIZE), 3);
         c.release(3).unwrap();
         assert_eq!(c.evict_over_budget(), vec![2]);
     }

@@ -16,7 +16,7 @@ use crate::error::{RegError, RegResult};
 use crate::interval::IntervalCounter;
 use crate::pin::PinTable;
 use crate::region::{MemHandle, Region, RegionTable};
-use crate::strategy::{pin_region, unpin_region, PinToken, StrategyKind};
+use crate::strategy::{pin_region, unpin_region, PageSpan, PinToken, StrategyKind};
 
 /// Registration statistics, reported by the experiment harness. Read them
 /// through [`MemoryRegistry::snapshot`], or `snapshot_with` to join the
@@ -177,12 +177,9 @@ impl MemoryRegistry {
         len: usize,
     ) -> RegResult<MemHandle> {
         // `addr` and `len` come straight from the user's `VipRegisterMem`
-        // call, and everything below (`npages`, `pin_region`, `page_span`)
-        // adds them unchecked: the page-aligned end must fit in a `u64`.
-        addr.checked_add(len as u64)
-            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
-            .ok_or(RegError::InvalidArgument("region wraps the address space"))?;
-        let npages = crate::strategy::npages(addr, len);
+        // call, and everything below (`pin_region`, `page_span`) adds them
+        // unchecked: the span check refuses a wrap first.
+        let npages = PageSpan::of(addr, len)?.npages;
         if let Some(max) = self.max_pages {
             if self.regions.total_pages() + npages > max {
                 return Err(RegError::LimitExceeded);

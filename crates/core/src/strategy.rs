@@ -6,7 +6,7 @@
 
 use simmem::{page::PageFlags, FrameId, Kernel, Pid, VirtAddr, PAGE_SIZE};
 
-use crate::error::RegResult;
+use crate::error::{RegError, RegResult};
 use crate::pin::PinTable;
 
 /// Which pinning strategy a registry uses.
@@ -239,7 +239,45 @@ pub fn unpin_region(
     }
 }
 
-/// Pages spanned by `[addr, addr + len)`.
+/// The whole pages a byte range `[addr, addr + len)` touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PageSpan {
+    /// The page-aligned start.
+    pub base: VirtAddr,
+    pub npages: usize,
+}
+
+impl PageSpan {
+    /// The page span of `[addr, addr + len)`, refused typed when its
+    /// page-aligned end does not fit in a `u64`. `addr` and `len` come
+    /// straight from a `VipRegisterMem` call or a cache lookup; this is the
+    /// one place their sum is checked, before anything is sized, indexed or
+    /// cached by it.
+    pub fn of(addr: VirtAddr, len: usize) -> RegResult<PageSpan> {
+        let end = addr
+            .checked_add(len as u64)
+            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
+            .ok_or(RegError::InvalidArgument("region wraps the address space"))?;
+        let base = simmem::page_base(addr);
+        Ok(PageSpan {
+            base,
+            npages: ((end - base) / PAGE_SIZE as u64) as usize,
+        })
+    }
+
+    /// Bytes the span covers.
+    pub fn bytes(&self) -> usize {
+        self.npages * PAGE_SIZE
+    }
+
+    /// One past the span's last byte.
+    pub fn end(&self) -> VirtAddr {
+        self.base + self.bytes() as u64
+    }
+}
+
+/// Pages spanned by `[addr, addr + len)`, for a span already known not to
+/// wrap ([`PageSpan::of`] checks).
 pub fn npages(addr: VirtAddr, len: usize) -> usize {
     let start = simmem::page_base(addr);
     let end = simmem::page_align_up(addr + len as u64);
@@ -404,6 +442,25 @@ mod tests {
         )
         .unwrap();
         unpin_region(&mut k, &mut pt, token, false).unwrap();
+    }
+
+    #[test]
+    fn page_span_math_and_the_wrap_check() {
+        let span = PageSpan::of(10, PAGE_SIZE).unwrap();
+        assert_eq!((span.base, span.npages), (0, 2));
+        assert_eq!(
+            (span.bytes(), span.end()),
+            (2 * PAGE_SIZE, 2 * PAGE_SIZE as u64)
+        );
+        assert_eq!(PageSpan::of(PAGE_SIZE as u64, 0).unwrap().npages, 0);
+        // The last page of the address space still has an aligned end…
+        let last = u64::MAX - PAGE_SIZE as u64 + 1;
+        let wrap = Err(RegError::InvalidArgument("region wraps the address space"));
+        assert_eq!(PageSpan::of(last - PAGE_SIZE as u64, 1).unwrap().npages, 1);
+        // …but not a span that reaches into it, or past the top.
+        assert_eq!(PageSpan::of(last, 1), wrap);
+        assert_eq!(PageSpan::of(u64::MAX - 100, 200), wrap);
+        assert_eq!(PageSpan::of(1, usize::MAX), wrap);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use simmem::{Pid, VirtAddr};
 use via::tpt::{MemId, ProtectionTag};
 use via::{RegPort, ViaError, ViaResult};
-use vialock::{CacheReleaseError, CacheStats, CoveringLru, RegError};
+use vialock::{CacheReleaseError, CacheStats, CoveringLru, PageSpan, RegError};
 
 /// LRU cache of live NIC registrations for one node.
 pub struct NodeRegCache {
@@ -30,7 +30,8 @@ impl NodeRegCache {
 
     /// Acquire a registration covering `[addr, addr+len)` under `tag`. Any
     /// cached span covering the request — exact or larger — is a hit; a
-    /// miss registers the full page span with the NIC.
+    /// miss registers the full page span with the NIC. A span that wraps
+    /// the address space is refused before the cache is consulted.
     pub fn acquire<P: RegPort>(
         &mut self,
         port: &mut P,
@@ -39,9 +40,10 @@ impl NodeRegCache {
         len: usize,
         tag: ProtectionTag,
     ) -> ViaResult<MemId> {
-        match self.lru.acquire(pid, addr, len) {
+        let span = PageSpan::of(addr, len)?;
+        match self.lru.acquire(pid, span) {
             Some(mem) => Ok(mem),
-            None => self.register_miss(port, pid, addr, len, tag),
+            None => self.register_miss(port, pid, span, tag),
         }
     }
 
@@ -54,26 +56,23 @@ impl NodeRegCache {
         &mut self,
         port: &mut P,
         pid: Pid,
-        addr: VirtAddr,
-        len: usize,
+        span: PageSpan,
         tag: ProtectionTag,
     ) -> ViaResult<MemId> {
-        let page_base = simmem::page_base(addr);
-        let span_len = (simmem::page_align_up(addr + len as u64) - page_base) as usize;
-        let mem = match port.port_register(pid, page_base, span_len, tag) {
+        let mem = match port.port_register(pid, span.base, span.bytes(), tag) {
             Err(ViaError::Reg(RegError::LimitExceeded)) => {
-                let victims = self.lru.evict_pages(span_len / simmem::PAGE_SIZE);
+                let victims = self.lru.evict_pages(span.npages);
                 if victims.is_empty() {
                     return Err(ViaError::Reg(RegError::LimitExceeded));
                 }
                 for victim in victims {
                     port.port_deregister(victim)?;
                 }
-                port.port_register(pid, page_base, span_len, tag)?
+                port.port_register(pid, span.base, span.bytes(), tag)?
             }
             r => r?,
         };
-        self.lru.admit(pid, addr, len, mem);
+        self.lru.admit(pid, span, mem);
         Ok(mem)
     }
 
@@ -249,6 +248,21 @@ mod tests {
         assert_eq!(c.stats().hits, 1);
         c.release(&mut n, m1).unwrap();
         c.release(&mut n, m2).unwrap();
+    }
+
+    #[test]
+    fn wrapping_span_is_refused_before_the_lru_is_touched() {
+        let (mut n, pid, _) = node();
+        let mut c = NodeRegCache::new(128);
+        assert_eq!(
+            c.acquire(&mut n, pid, u64::MAX - 100, 200, ProtectionTag(1)),
+            Err(ViaError::Reg(RegError::InvalidArgument(
+                "region wraps the address space"
+            )))
+        );
+        assert_eq!(c.stats(), CacheStats::default());
+        assert!(c.is_empty());
+        assert_eq!(n.nic.tpt.region_count(), 0);
     }
 
     #[test]

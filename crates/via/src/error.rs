@@ -36,8 +36,9 @@ pub enum ViaError {
     /// at capacity; the completion is lost and the VI is broken.
     CqOverrun,
     /// The service thread for the given node is gone — it panicked, was
-    /// shut down, or its mailbox was closed. The fabric equivalent of a
-    /// peer process dying mid-conversation.
+    /// shut down or killed, so its control channel or its wire ring is
+    /// closed. The fabric equivalent of a peer process dying
+    /// mid-conversation.
     PeerGone(usize),
     /// Several node service threads are gone; carries the index of every
     /// dead node (the shutdown/join path reports them all, not just the

@@ -328,7 +328,12 @@ pub trait Fabric {
     ///
     /// On the deterministic fabric the plan's rule order maps 1:1 onto the
     /// delivery order, so "fault the third packet" is meaningful; on the
-    /// threaded fabric consultation order is whatever the race produces.
+    /// threaded fabric the nodes consult the shared plan in whatever order
+    /// their threads race to it. For a threaded run that reproduces, give
+    /// each node its own plan instead —
+    /// `try_with_node(n, move |node| node.install_fault_plan(&plan_n))` —
+    /// which every node consults in its own delivery order
+    /// (`crates/via/tests/fabric_diff.rs`, DESIGN.md §11).
     fn install_fault_plan(&mut self, plan: &FaultHandle) {
         for n in 0..self.node_count() {
             let plan = plan.clone();

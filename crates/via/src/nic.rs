@@ -747,18 +747,11 @@ impl Node {
         Ok(Vec::new())
     }
 
-    /// Process all pending send-side descriptors of one VI, emitting
-    /// packets. Send descriptors complete as soon as the DMA gather is done
-    /// (data "on the wire").
-    pub fn pump_vi_sends(&mut self, vi_id: ViId, node_index: usize) -> ViaResult<Vec<Packet>> {
-        let mut packets = Vec::new();
-        self.pump_vi_sends_into(vi_id, node_index, &mut packets)?;
-        Ok(packets)
-    }
-
-    /// [`Node::pump_vi_sends`] appending into a caller-owned vector, so the
-    /// fabric pump batches every VI's packets without an allocation per VI.
-    /// Returns the number of packets appended.
+    /// Process all pending send-side descriptors of one VI, appending the
+    /// packets to a caller-owned vector, so a pump batches every VI's
+    /// packets without an allocation per VI. Send descriptors complete as
+    /// soon as the DMA gather is done (data "on the wire"). Returns the
+    /// number of packets appended.
     pub fn pump_vi_sends_into(
         &mut self,
         vi_id: ViId,
@@ -773,6 +766,82 @@ impl Node {
             }
         }
         Ok(n)
+    }
+
+    /// Collect every pending send of this node as packets from node
+    /// `index`, appended to `out`: `ViId` ascending, FIFO within a VI — the
+    /// order both fabrics ship in (DESIGN.md §18). The idle case is one
+    /// scan of the VI table for a non-empty send queue, with no lookup or
+    /// call per VI. On an error the packets gathered so far stay in `out`
+    /// and the rest stay queued for the next call. Returns the number of
+    /// packets appended.
+    pub(crate) fn ship_sends(&mut self, index: usize, out: &mut Vec<Packet>) -> ViaResult<usize> {
+        let mut sent = 0usize;
+        let mut next = 0usize;
+        while let Some(i) = self
+            .nic
+            .vis
+            .get(next..)
+            .and_then(|vis| vis.iter().position(|v| v.sends_pending() > 0))
+        {
+            let vi = next + i;
+            sent += self.pump_vi_sends_into(ViId(vi as u32), index, out)?;
+            next = vi + 1;
+        }
+        Ok(sent)
+    }
+
+    /// What a packet meets at this NIC's ingress, on either fabric. The
+    /// wire faults strike first, in a fixed order:
+    ///
+    /// * `WireDelay`: the packet goes on `requeue` — the caller's queue of
+    ///   packets still to be delivered here — behind everything already on
+    ///   it, and is overtaken by them;
+    /// * `WireDrop`: its buffer returns to the pool and [`Node::wire_drop`]
+    ///   applies the receiving VI's reliability rule;
+    /// * `WireDuplicate`: an unreliable VI gets a pool-accounted copy of a
+    ///   send, put on `requeue` the same way; a reliable VI's sequence
+    ///   numbers suppress it.
+    ///
+    /// Unless delayed or dropped the packet is then delivered. Returns the
+    /// response packets to route, or `None` when the packet was requeued
+    /// or consumed. A fabric supplies only the transport: what `requeue`
+    /// is, and where responses go.
+    pub(crate) fn ingress(
+        &mut self,
+        pkt: Packet,
+        requeue: &mut impl Extend<Packet>,
+    ) -> ViaResult<Option<Vec<Packet>>> {
+        if self.inject(FaultSite::WireDelay) {
+            self.nic.stats.wire_delays += 1;
+            requeue.extend(once(pkt));
+            return Ok(None);
+        }
+        if self.inject(FaultSite::WireDrop) {
+            let vi = pkt.dst_vi;
+            self.pool.put(pkt.payload);
+            self.wire_drop(vi)?;
+            return Ok(None);
+        }
+        if self.inject(FaultSite::WireDuplicate) {
+            self.nic.stats.wire_dups += 1;
+            let unreliable = self
+                .nic
+                .vi(pkt.dst_vi)
+                .is_ok_and(|v| v.reliability == Reliability::Unreliable);
+            if unreliable && matches!(pkt.kind, PacketKind::Send) {
+                let payload = self.pool.dup_payload(&pkt.payload, &mut self.nic.stats);
+                requeue.extend(once(Packet {
+                    src_node: pkt.src_node,
+                    dst_node: pkt.dst_node,
+                    dst_vi: pkt.dst_vi,
+                    kind: PacketKind::Send,
+                    payload,
+                    imm: pkt.imm,
+                }));
+            }
+        }
+        self.deliver(pkt).map(Some)
     }
 
     /// Native-mode pump: DMA-fetch every posted descriptor from the VI's

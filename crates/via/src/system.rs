@@ -5,18 +5,20 @@
 //! draining the send queues into the in-flight queue, then delivers in
 //! rounds (a delivery may answer with a response packet, a wire fault may
 //! postpone one) until nothing is in flight. Delivery never posts a send,
-//! so one collection pass per pump finds all the work there is. All methods
-//! are node-indexed so one test can hold the entire cluster.
+//! so one collection pass per pump finds all the work there is. What a
+//! packet meets on arrival is the node's rule (`Node::ingress`); this
+//! fabric only decides that a requeued packet joins the next round. All
+//! methods are node-indexed so one test can hold the entire cluster.
 
 use std::time::Duration;
 
 use simmem::{Kernel, KernelConfig, Pid, VirtAddr};
-use vialock::{FaultSite, StrategyKind};
+use vialock::StrategyKind;
 
 use crate::descriptor::Descriptor;
 use crate::error::{ViaError, ViaResult};
 use crate::fabric::{connect_rule, Fabric};
-use crate::nic::{Node, Packet, PacketKind, DEFAULT_TPT_PAGES};
+use crate::nic::{Node, Packet, DEFAULT_TPT_PAGES};
 use crate::tpt::{MemId, ProtectionTag};
 use crate::vi::{Completion, Reliability, ViId, ViState};
 
@@ -26,11 +28,9 @@ pub type NodeId = usize;
 /// A cluster of nodes connected by a (so far ideal) fabric.
 pub struct ViaSystem {
     nodes: Vec<Node>,
-    /// Packets in flight, delivered FIFO by [`ViaSystem::pump`].
+    /// Packets in flight, delivered FIFO by [`ViaSystem::pump`]; during a
+    /// pump, the next delivery round.
     in_flight: Vec<Packet>,
-    /// Packets an injected wire delay postponed past the current delivery
-    /// round; re-queued (and re-subjected to ingress faults) next round.
-    delayed: Vec<Packet>,
     /// Connection manager: listening endpoints keyed by
     /// (node, discriminator) — the VIA connection-establishment address.
     listeners: std::collections::HashMap<(NodeId, u64), ViId>,
@@ -51,7 +51,6 @@ impl ViaSystem {
                 .map(|_| Node::new(config, strategy, DEFAULT_TPT_PAGES))
                 .collect(),
             in_flight: Vec::new(),
-            delayed: Vec::new(),
             listeners: std::collections::HashMap::new(),
             round: Vec::new(),
             pio_scratch: Vec::new(),
@@ -119,7 +118,7 @@ impl ViaSystem {
     /// 3. TPT occupancy never exceeds capacity;
     /// 4. the packet-pool ledger balances: buffers taken minus returned,
     ///    summed fabric-wide, equals the pool-backed packets still in
-    ///    flight (delayed ones included).
+    ///    flight.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
             node.check_local_invariants()
@@ -129,7 +128,6 @@ impl ViaSystem {
         let in_flight = self
             .in_flight
             .iter()
-            .chain(self.delayed.iter())
             .filter(|p| p.payload.capacity() > 0)
             .count() as i64;
         if outstanding != in_flight {
@@ -486,9 +484,10 @@ impl ViaSystem {
     /// tests can assert on it.
     ///
     /// Order contract: sends are collected node ascending, `ViId` ascending
-    /// within a node, FIFO within a VI, and delivered in that order; the
-    /// responses and delayed packets of one round are delivered in the
-    /// next, in the order they were produced.
+    /// within a node, FIFO within a VI (`Node::ship_sends`), and
+    /// delivered in that order; the responses, duplicates and delayed
+    /// packets of one round are delivered in the next, in the order they
+    /// were produced.
     pub fn pump(&mut self) -> ViaResult<usize> {
         let mut delivered = 0usize;
         let mut first_error: Option<ViaError> = None;
@@ -496,74 +495,26 @@ impl ViaSystem {
         // packets and `&mut self` keeps the application out, so no send can
         // be posted before this call returns.
         for (n, node) in self.nodes.iter_mut().enumerate() {
-            for i in 0..node.nic.vi_count() {
-                let vi = ViId(i as u32);
-                // The idle case stays an index and a length test: no call.
-                if node.nic.vi(vi)?.sends_pending() > 0 {
-                    node.pump_vi_sends_into(vi, n, &mut self.in_flight)?;
-                }
-            }
+            node.ship_sends(n, &mut self.in_flight)?;
         }
         while !self.in_flight.is_empty() {
-            // Deliver FIFO; deliveries may spawn response packets
-            // (RDMA-read answers) that go back in flight for the next
-            // round. The round's queue is swapped out and drained so both
-            // vectors keep their buffers.
+            // Deliver FIFO. The round's queue is swapped out and drained so
+            // both vectors keep their buffers; `in_flight` collects the next
+            // round — responses, and packets the ingress requeued — in the
+            // order they are produced.
             std::mem::swap(&mut self.in_flight, &mut self.round);
             for pkt in self.round.drain(..) {
-                let dst = pkt.dst_node;
-                // Wire faults strike at the receiving NIC's ingress.
-                if self.nodes[dst].inject(FaultSite::WireDelay) {
-                    self.nodes[dst].nic.stats.wire_delays += 1;
-                    self.delayed.push(pkt);
-                    continue;
-                }
-                if self.nodes[dst].inject(FaultSite::WireDrop) {
-                    let vi = pkt.dst_vi;
-                    self.nodes[dst].pool.put(pkt.payload);
-                    if let Err(e) = self.nodes[dst].wire_drop(vi) {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                    continue;
-                }
-                if self.nodes[dst].inject(FaultSite::WireDuplicate) {
-                    self.nodes[dst].nic.stats.wire_dups += 1;
-                    // Reliable VIs suppress the copy (sequence numbers);
-                    // unreliable datagrams really arrive twice.
-                    let unreliable = self.nodes[dst]
-                        .nic
-                        .vi(pkt.dst_vi)
-                        .map(|v| v.reliability == Reliability::Unreliable)
-                        .unwrap_or(false);
-                    if unreliable && matches!(pkt.kind, PacketKind::Send) {
-                        let node = &mut self.nodes[dst];
-                        let payload = node.pool.dup_payload(&pkt.payload, &mut node.nic.stats);
-                        self.in_flight.push(Packet {
-                            src_node: pkt.src_node,
-                            dst_node: dst,
-                            dst_vi: pkt.dst_vi,
-                            kind: PacketKind::Send,
-                            payload,
-                            imm: pkt.imm,
-                        });
-                    }
-                }
-                match self.nodes[dst].deliver(pkt) {
-                    Ok(mut responses) => {
+                match self.nodes[pkt.dst_node].ingress(pkt, &mut self.in_flight) {
+                    Ok(Some(mut responses)) => {
                         delivered += 1;
                         self.in_flight.append(&mut responses);
                     }
+                    Ok(None) => {}
                     Err(e) => {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
+                        first_error.get_or_insert(e);
                     }
                 }
             }
-            // Delayed packets re-enter the race next round.
-            self.in_flight.append(&mut self.delayed);
         }
         debug_assert!(
             self.nodes
@@ -829,7 +780,7 @@ mod tests {
         sys.post_send(0, va, sh, sbuf, 7).unwrap();
         // The sender's first (and only) lazy-pin attempt is refused.
         sys.install_fault_plan(&vialock::fault::handle(
-            vialock::FaultPlan::new(21).fail(FaultSite::LazyPin, 1),
+            vialock::FaultPlan::new(21).fail(vialock::FaultSite::LazyPin, 1),
         ));
         assert_eq!(sys.pump().unwrap(), 0, "nothing crossed the wire");
         let c = sys.poll_cq(0, va).unwrap().unwrap();

@@ -35,22 +35,22 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use simmem::{KernelConfig, Pid, VirtAddr};
-use vialock::{impl_since, FaultSite, StrategyKind};
+use vialock::{impl_since, StrategyKind};
 
 use crate::error::{ViaError, ViaResult};
 use crate::fabric::{connect_rule, Fabric};
-use crate::nic::{Node, Packet, PacketKind, DEFAULT_TPT_PAGES};
+use crate::nic::{Node, Packet, DEFAULT_TPT_PAGES};
 use crate::spsc::{self, Consumer, Doorbell, Producer, PushError};
 use crate::system::NodeId;
 use crate::tpt::MemId;
-use crate::vi::{Completion, Reliability, ViId};
+use crate::vi::{Completion, ViId};
 
 /// Default for how long [`NodeCtx::wait_completion`] (and the cluster's
 /// [`Fabric::wait_cq`]) waits before declaring the peer dead. Override
 /// per cluster with [`ClusterBuilder::wait_timeout`].
 pub const WAIT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Non-blocking polls of the inbound mailbox before
+/// Non-blocking polls of the inbound rings before
 /// [`NodeCtx::wait_completion`] starts yielding (spin-yield-park). On a
 /// single-core host the budget is zero: the peer can only make progress
 /// once we give the core away, so every spin iteration is pure added
@@ -436,15 +436,11 @@ impl NodeCtx {
         result
     }
 
-    /// Ship every pending send of every VI, batched per destination,
-    /// without touching the inbound queue (beyond loopback traffic).
+    /// Ship every pending send of every VI ([`Node::ship_sends`]),
+    /// batched per destination, without touching the inbound queue (beyond
+    /// loopback traffic).
     fn ship_sends(&mut self) -> ViaResult<usize> {
-        let mut sent = 0usize;
-        for i in 0..self.node.nic.vi_count() {
-            sent += self
-                .node
-                .pump_vi_sends_into(ViId(i as u32), self.index, &mut self.outbox)?;
-        }
+        let sent = self.node.ship_sends(self.index, &mut self.outbox)?;
         if self.outbox.is_empty() {
             return Ok(sent);
         }
@@ -534,55 +530,22 @@ impl NodeCtx {
     /// Deliver exactly ONE inbound packet, if any is queued. This is the
     /// single choke point every drain path goes through, so the
     /// one-packet-per-CQ-check rule holds everywhere. With
-    /// `best_effort_tx` a dead peer mailbox swallows responses instead
-    /// of erroring (used while draining after a disconnect and by the
-    /// autonomous service pump).
+    /// `best_effort_tx` a closed ring to a dead peer swallows responses
+    /// instead of erroring (used while draining after a disconnect and by
+    /// the autonomous service pump).
     fn deliver_one_inbound(&mut self, best_effort_tx: bool) -> ViaResult<bool> {
-        if self.inbound.is_empty() && !self.refill_inbound() {
+        if self.inbound.is_empty() {
+            self.refill_inbound();
+        }
+        let Some(pkt) = self.inbound.pop_front() else {
             return Ok(false);
-        }
-        let pkt = self.inbound.pop_front().expect("refill_inbound said so");
-        // Wire faults strike at this NIC's ingress, exactly as in the
-        // single-threaded fabric.
-        if self.node.inject(FaultSite::WireDelay) {
-            self.node.nic.stats.wire_delays += 1;
-            // Requeue behind everything already waiting: the packet is
-            // overtaken by later traffic.
-            self.inbound.push_back(pkt);
+        };
+        // What the packet meets here is the node's rule; a packet it
+        // requeues goes to the back of `inbound`, behind everything already
+        // waiting.
+        let Some(resps) = self.node.ingress(pkt, &mut self.inbound)? else {
             return Ok(true);
-        }
-        if self.node.inject(FaultSite::WireDrop) {
-            let vi = pkt.dst_vi;
-            self.node.pool.put(pkt.payload);
-            self.node.wire_drop(vi)?;
-            return Ok(true);
-        }
-        if self.node.inject(FaultSite::WireDuplicate) {
-            self.node.nic.stats.wire_dups += 1;
-            // Reliable VIs suppress the copy; unreliable datagrams arrive
-            // twice.
-            let unreliable = self
-                .node
-                .nic
-                .vi(pkt.dst_vi)
-                .map(|v| v.reliability == Reliability::Unreliable)
-                .unwrap_or(false);
-            if unreliable && matches!(pkt.kind, PacketKind::Send) {
-                let payload = self
-                    .node
-                    .pool
-                    .dup_payload(&pkt.payload, &mut self.node.nic.stats);
-                self.inbound.push_back(Packet {
-                    src_node: pkt.src_node,
-                    dst_node: pkt.dst_node,
-                    dst_vi: pkt.dst_vi,
-                    kind: PacketKind::Send,
-                    payload,
-                    imm: pkt.imm,
-                });
-            }
-        }
-        let resps = self.node.deliver(pkt)?;
+        };
         self.stats.delivered += 1;
         if !resps.is_empty() {
             self.outbox.extend(resps);

@@ -20,7 +20,7 @@ use msg::{Comm, MsgConfig};
 use simmem::{prot, KernelConfig, PAGE_SIZE};
 use via::system::ViaSystem;
 use via::tpt::{MemId, ProtectionTag};
-use via::{Fabric, ThreadedCluster, ViaError};
+use via::{Fabric, ViaError};
 use vialock::{fault, FaultPlan, FaultSite, StrategyKind};
 
 /// Run one workload round under `plan` on the deterministic system.
@@ -35,9 +35,9 @@ fn chaos_round(plan: FaultPlan) -> Result<Result<(), ViaError>, String> {
 }
 
 /// The fabric-generic chaos round: the same workload, invariant cadence
-/// and teardown audit run against any [`Fabric`] — the deterministic
-/// system for the reproducible sweeps, the threaded cluster to assert
-/// that faults degrade cleanly under real concurrency too.
+/// and teardown audit against any [`Fabric`] and pinning strategy. (That
+/// the threaded cluster degrades exactly as the deterministic system does,
+/// step by step and fault by fault, is `crates/via/tests/fabric_diff.rs`.)
 fn chaos_round_on<F: Fabric>(mut sys: F, plan: FaultPlan) -> Result<Result<(), ViaError>, String> {
     let handle = fault::handle(plan);
     sys.install_fault_plan(&handle);
@@ -395,35 +395,6 @@ proptest! {
             r.err()
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// The same harness on the threaded fabric
-// ---------------------------------------------------------------------
-
-/// Every fault site, first-hit and third-hit plans, on a live 2-node
-/// [`ThreadedCluster`]: node threads, mailboxes and the routing layer are
-/// all real, so scheduling is nondeterministic — the assertion is NOT
-/// packet-level reproducibility but the same clean-degradation contract
-/// as the deterministic sweep: typed errors only, invariants intact,
-/// nothing leaked at teardown.
-#[test]
-fn chaos_on_threaded_cluster_degrades_cleanly() {
-    let mut errored = 0u32;
-    for site in FaultSite::ALL {
-        for skip in [0u64, 2] {
-            let seed = 0xBAD_CAFE ^ skip;
-            let plan = FaultPlan::new(seed).fail_after(site, skip, 1);
-            let cluster =
-                ThreadedCluster::new(2, KernelConfig::small(), StrategyKind::KiobufReliable);
-            match chaos_round_on(cluster, plan) {
-                Ok(Ok(())) => {}
-                Ok(Err(_)) => errored += 1,
-                Err(violation) => panic!("threaded, site {site} skip {skip}: {violation}"),
-            }
-        }
-    }
-    assert!(errored > 0, "no plan bit on the threaded fabric");
 }
 
 // ---------------------------------------------------------------------
