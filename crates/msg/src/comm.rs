@@ -87,6 +87,10 @@ struct Pair {
     layout: SegLayout,
     /// Sender-side slot allocation.
     slot_busy: Vec<bool>,
+    /// Per slot: the response record was written since the progress engine
+    /// last read it (set by `write_response`, cleared by the visit that
+    /// reads the record and by `release_send`).
+    resp_written: Vec<bool>,
     next_msg_id: u64,
     /// One-copy receive ring: buffer addresses in posted (FIFO) order.
     oc_ring: VecDeque<VirtAddr>,
@@ -151,6 +155,13 @@ pub struct Comm<F: Fabric = ViaSystem> {
     /// finishes or is discarded, so this never holds more than
     /// `pairs × info_slots` entries.
     in_flight: Vec<PendingSend>,
+    /// Number of `Pair::resp_written` marks set: 0 means no live send can
+    /// have changed state, so `progress` has nothing to read.
+    resp_marks: usize,
+    /// Test-only reference: `progress` reads every live send's record on
+    /// every round, as it did before the marks (`progress_diff_tests`).
+    #[cfg(test)]
+    pub(crate) visit_every_send: bool,
     next_seq: u64,
     caches: Vec<NodeRegCache>,
     /// Relay sends in flight for the indirect-communication machinery.
@@ -210,6 +221,9 @@ impl<F: Fabric> Comm<F> {
             ranks,
             pairs: (0..n_ranks * n_ranks).map(|_| None).collect(),
             in_flight: Vec::new(),
+            resp_marks: 0,
+            #[cfg(test)]
+            visit_every_send: false,
             next_seq: 0,
             caches,
             pending_forward_handles: Vec::new(),
@@ -297,6 +311,7 @@ impl<F: Fabric> Comm<F> {
             s_seg_mem,
             layout,
             slot_busy: vec![false; self.cfg.info_slots],
+            resp_written: vec![false; self.cfg.info_slots],
             next_msg_id: 1,
             oc_ring,
             oc_mem,
@@ -409,11 +424,13 @@ impl<F: Fabric> Comm<F> {
         // they sit in each *survivor's* segment, but delivering one would
         // require acking into the dead rank's (reclaimed) response slot.
         // Crash-stop semantics — in-flight traffic from the casualty is
-        // dropped, like frames on a wire whose endpoint vanished.
+        // dropped, like frames on a wire whose endpoint vanished. Its
+        // response records went with its process, and their marks with them.
         let survivors: Vec<RankId> = (0..self.ranks.len()).filter(|&s| s != r).collect();
         for to in survivors {
             for slot in 0..self.cfg.info_slots {
                 self.clear_info(r, to, slot)?;
+                self.take_mark(r, to, slot)?;
             }
         }
         released
@@ -566,6 +583,10 @@ impl<F: Fabric> Comm<F> {
         Ok(())
     }
 
+    /// Receiver writes the sender's response record `slot` (over SCI, into
+    /// the sender's exported control segment) and marks it written, so the
+    /// sender's progress engine reads it on its next round. The only place
+    /// a record changes other than `release_send`'s reset.
     fn write_response(
         &mut self,
         s: RankId,
@@ -573,12 +594,13 @@ impl<F: Fabric> Comm<F> {
         slot: usize,
         resp: &Response,
     ) -> ViaResult<()> {
-        let pair = self.pair(s, r)?;
-        let (s_node, mem, off) = (
-            self.ranks[s].node,
-            pair.s_seg_mem,
-            pair.layout.resp_off(slot),
-        );
+        let pair = self.pair_mut(s, r)?;
+        let (mem, off) = (pair.s_seg_mem, pair.layout.resp_off(slot));
+        // Marked before the store: a mark whose store failed costs one
+        // read; a store without a mark would never be read.
+        let newly = !std::mem::replace(&mut pair.resp_written[slot], true);
+        self.resp_marks += newly as usize;
+        let s_node = self.ranks[s].node;
         self.sys
             .sci_write_bytes(&resp.encode(), (s_node, mem, off))?;
         self.stats.control_writes += 1;
@@ -750,31 +772,70 @@ impl<F: Fabric> Comm<F> {
         self.in_flight.len()
     }
 
-    /// Drive every live send one step, oldest first (the communicator's
-    /// progress engine — in a threaded MPI this runs on the communication
-    /// thread). A send that hits an error is discarded — slot and
-    /// registration given back — and the error ends this round.
+    /// Drive every live send whose response record was written since it was
+    /// last read one step, oldest first (the communicator's progress engine
+    /// — in a threaded MPI this runs on the communication thread). A send
+    /// nobody answered is not read: its next step could only be "unchanged".
+    /// A send that hits an error is discarded — slot and registration given
+    /// back — and the error ends this round.
     pub fn progress(&mut self) -> ViaResult<()> {
+        #[cfg(test)]
+        if self.visit_every_send {
+            return self.progress_every_send();
+        }
         let mut i = 0;
-        while i < self.in_flight.len() {
+        while self.resp_marks > 0 && i < self.in_flight.len() {
             let p = self.in_flight[i];
-            self.stats.progress_visits += 1;
-            match self.progress_one(&p) {
-                Ok(Some(state)) => {
-                    self.in_flight[i].state = state;
-                    i += 1;
-                }
-                finished_or_failed => {
-                    self.in_flight.remove(i);
-                    let released = self.release_send(&p);
-                    // The error that discarded the send wins over a
-                    // failure while cleaning up after it.
-                    finished_or_failed?;
-                    released?;
-                }
+            if !self.take_mark(p.from, p.to, p.slot)? {
+                i += 1;
+                continue;
+            }
+            if self.visit(i, &p)? {
+                i += 1;
             }
         }
         Ok(())
+    }
+
+    /// The reference `progress`: read every live send's record.
+    #[cfg(test)]
+    fn progress_every_send(&mut self) -> ViaResult<()> {
+        let mut i = 0;
+        while i < self.in_flight.len() {
+            let p = self.in_flight[i];
+            if self.visit(i, &p)? {
+                i += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Step `in_flight[i]` (which is `p`); whether it is still live.
+    fn visit(&mut self, i: usize, p: &PendingSend) -> ViaResult<bool> {
+        self.stats.progress_visits += 1;
+        match self.progress_one(p) {
+            Ok(Some(state)) => {
+                self.in_flight[i].state = state;
+                Ok(true)
+            }
+            finished_or_failed => {
+                self.in_flight.remove(i);
+                let released = self.release_send(p);
+                // The error that discarded the send wins over a failure
+                // while cleaning up after it.
+                finished_or_failed?;
+                released?;
+                Ok(false)
+            }
+        }
+    }
+
+    /// Clear the "written" mark of `from → to`'s response record `slot`;
+    /// whether it was set.
+    fn take_mark(&mut self, from: RankId, to: RankId, slot: usize) -> ViaResult<bool> {
+        let marked = std::mem::take(&mut self.pair_mut(from, to)?.resp_written[slot]);
+        self.resp_marks -= marked as usize;
+        Ok(marked)
     }
 
     /// One step of one live send: its next state, or `None` once the
@@ -855,15 +916,16 @@ impl<F: Fabric> Comm<F> {
 
     /// Give back everything a send holds — the completions its one-copy
     /// chunks left on the sender's CQ, its registration-cache reference,
-    /// its response record and its slot — whether it finished or is being
-    /// discarded. Every step runs even if an earlier one fails; the first
-    /// failure is reported.
+    /// its response record (and the record's mark) and its slot — whether
+    /// it finished or is being discarded. Every step runs even if an
+    /// earlier one fails; the first failure is reported.
     fn release_send(&mut self, p: &PendingSend) -> ViaResult<()> {
         let (node, pid) = (self.ranks[p.from].node, self.ranks[p.from].pid);
         let pair = self.pair_mut(p.from, p.to)?;
         pair.slot_busy[p.slot] = false;
         let vi_s = pair.vi_s;
         let resp_addr = pair.s_seg_addr + pair.layout.resp_off(p.slot) as u64;
+        self.take_mark(p.from, p.to, p.slot)?;
         let reaped = match p.state {
             SendState::AwaitDone { chunks, .. } => self.reap_chunk_completions(node, vi_s, chunks),
             _ => Ok(()),
@@ -1041,15 +1103,17 @@ impl<F: Fabric> Comm<F> {
         tag: u32,
     ) -> ViaResult<Option<(RankId, u32, usize)>> {
         self.progress()?;
-        let sources: Vec<RankId> = if from == ANY_SOURCE {
-            (0..self.ranks.len()).filter(|&s| s != at).collect()
-        } else {
-            vec![from]
+        let sources = match from {
+            ANY_SOURCE => 0..self.ranks.len(),
+            s => s..s + 1,
         };
         // Round-robin over the channels, exactly like the Multidevice's
         // Iprobe loop over subdevices.
         let mut best: Option<(RankId, usize, MsgInfo)> = None;
         for s in sources {
+            if from == ANY_SOURCE && s == at {
+                continue;
+            }
             if let Some((slot, info)) = self.match_message(s, at, tag)? {
                 if best.as_ref().is_none_or(|(_, _, b)| info.msg_id < b.msg_id) {
                     best = Some((s, slot, info));

@@ -38,6 +38,9 @@ pub mod seg;
 pub mod stats;
 pub mod window;
 
+#[cfg(test)]
+mod progress_diff_tests;
+
 pub use comm::{Comm, RankId, SendHandle, ANY_SOURCE, ANY_TAG};
 pub use config::MsgConfig;
 pub use regcache::NodeRegCache;
