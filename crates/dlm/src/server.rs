@@ -19,7 +19,10 @@
 //!   granted a lock nobody will release;
 //! * a crashed **manager** surfaces to clients as
 //!   [`DlmError::ManagerUnreachable`] through the budgeted receive, not
-//!   as a hang.
+//!   as a hang;
+//! * a **full reply channel** (every slot toward a rank in flight, because
+//!   its clients have not polled yet) is backpressure, not death: the reply
+//!   waits in a per-rank FIFO outbox that every serve step retries first.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -92,6 +95,16 @@ fn unpack_waiter(w: u64) -> (RankId, ClientId) {
     ((w >> 32) as RankId, (w & 0xFFFF_FFFF) as ClientId)
 }
 
+/// Whether a refused `send` only means that every message slot of the
+/// pair is in flight: transient backpressure, to be retried once the
+/// receiver drains, never a sign that the peer is gone.
+fn is_backpressure(e: &ViaError) -> bool {
+    *e == ViaError::BadState("no free message slot")
+}
+
+/// A reply the manager could not send yet: its tag and its bytes.
+type Outgoing = (u32, [u8; MSG_BYTES]);
+
 /// The lock manager, living on one communicator rank.
 pub struct Manager {
     pub rank: RankId,
@@ -102,6 +115,9 @@ pub struct Manager {
     held_by: HashMap<ClientId, Vec<LockKey>>,
     /// Ranks known dead: their clients are never granted anything.
     dead_ranks: Vec<RankId>,
+    /// Per destination rank, the replies refused for backpressure, in the
+    /// order they were made; `serve_step` retries them first.
+    outbox: Vec<VecDeque<Outgoing>>,
     pub lease_ticks: u64,
     pub stats: ManagerStats,
 }
@@ -116,6 +132,7 @@ impl Manager {
             locks: HashMap::new(),
             held_by: HashMap::new(),
             dead_ranks: Vec::new(),
+            outbox: vec![VecDeque::new(); c.n_ranks()],
             lease_ticks,
             stats: ManagerStats::default(),
         })
@@ -140,21 +157,51 @@ impl Manager {
         m[4..8].copy_from_slice(&key.to_le_bytes());
         m[8..16].copy_from_slice(&token.to_le_bytes());
         m[16..24].copy_from_slice(&expires.to_le_bytes());
+        let out = (TAG_REP_BASE | (client & 0x00FF_FFFF), m);
+        // Behind any reply to the same rank that is still waiting.
+        if !self.outbox[to_rank].is_empty() || !self.post(c, to_rank, &out)? {
+            self.outbox[to_rank].push_back(out);
+        }
+        Ok(())
+    }
+
+    /// Send one reply; `false` if every slot toward `to_rank` is in flight.
+    /// Fire and forget: a 32-byte message rides the PIO path, which copies
+    /// the payload out during `send` itself; the pending-send slot is
+    /// reaped by any later progress round. Blocking here would deadlock the
+    /// single-driver interleave (the client only recvs on its next turn).
+    /// Any other refusal means the rank is dying: record the death, drop
+    /// the reply and keep serving the living.
+    fn post<F: Fabric>(
+        &mut self,
+        c: &mut Comm<F>,
+        to_rank: RankId,
+        &(tag, m): &Outgoing,
+    ) -> ViaResult<bool> {
         c.fill_buffer(self.rank, self.send_buf, &m)?;
-        let tag = TAG_REP_BASE | (client & 0x00FF_FFFF);
-        // Fire and forget: a 32-byte message rides the PIO path, which
-        // copies the payload out during `send` itself; the pending-send
-        // slot is reaped by any later progress round. Blocking here would
-        // deadlock the single-driver interleave (the client only recvs
-        // on its next turn). A failed send means the rank is dying —
-        // record the death and keep serving the living.
         match c.send(self.rank, to_rank, tag, self.send_buf, MSG_BYTES) {
-            Ok(_) => Ok(()),
+            Ok(_) => Ok(true),
+            Err(e) if is_backpressure(&e) => Ok(false),
             Err(_) => {
                 self.rank_died_local(to_rank);
-                Ok(())
+                Ok(true)
             }
         }
+    }
+
+    /// Retry the refused replies, oldest first per destination, stopping at
+    /// a destination's first refusal: a rank that stopped receiving costs
+    /// one refused send per step, not one per waiting reply.
+    fn retry_outbox<F: Fabric>(&mut self, c: &mut Comm<F>) -> ViaResult<()> {
+        for to_rank in 0..self.outbox.len() {
+            while let Some(&out) = self.outbox[to_rank].front() {
+                if !self.post(c, to_rank, &out)? {
+                    break;
+                }
+                self.outbox[to_rank].pop_front();
+            }
+        }
+        Ok(())
     }
 
     fn grant_to<F: Fabric>(
@@ -270,6 +317,9 @@ impl Manager {
         if !self.dead_ranks.contains(&rank) {
             self.dead_ranks.push(rank);
         }
+        if let Some(waiting) = self.outbox.get_mut(rank) {
+            waiting.clear();
+        }
     }
 
     /// A whole rank (node/process) died: reclaim every lock its clients
@@ -300,15 +350,17 @@ impl Manager {
         Ok(reclaimed)
     }
 
-    /// Serve one request if one is pending within `budget` progress
-    /// rounds, then sweep leases. Returns how many requests were served
-    /// (0 or 1) — the caller loops this as its serve loop.
+    /// Retry the replies refused for backpressure, sweep leases, then
+    /// serve one request if one is pending within `budget` progress
+    /// rounds. Returns how many requests were served (0 or 1) — the caller
+    /// loops this as its serve loop.
     pub fn serve_step<F: Fabric>(
         &mut self,
         c: &mut Comm<F>,
         now: u64,
         budget: usize,
     ) -> ViaResult<usize> {
+        self.retry_outbox(c)?;
         self.sweep_leases(c, now)?;
         let (src, n) = match c.recv_any_budget(self.rank, TAG_REQ, self.recv_buf, MSG_BYTES, budget)
         {
@@ -470,7 +522,7 @@ impl ClientEndpoint {
         match c.send(self.rank, manager, TAG_REQ, self.buf, MSG_BYTES) {
             Ok(_) => Ok(()),
             // Every slot to the manager is in flight: transient, retry.
-            Err(ViaError::BadState("no free message slot")) => Err(DlmError::Backpressure),
+            Err(e) if is_backpressure(&e) => Err(DlmError::Backpressure),
             Err(e) => Err(e.into()),
         }
     }
@@ -697,5 +749,38 @@ mod tests {
         assert_eq!(gb.key, 5);
         assert!(m.orphans(|cl| cl == 200).is_empty());
         assert_eq!(m.holder_of(5).unwrap().0, 200);
+    }
+
+    #[test]
+    fn reply_backpressure_is_not_rank_death() {
+        // One client rank, five clients: the manager grants five locks
+        // before any client polls, one more reply than the manager → rank
+        // pair has slots.
+        let mut c = Comm::new(
+            2,
+            2,
+            KernelConfig::medium(),
+            StrategyKind::KiobufReliable,
+            MsgConfig::tiny(),
+        )
+        .unwrap();
+        let mut m = Manager::new(&mut c, 0, 1_000).unwrap();
+        let eps: Vec<_> = (0..5)
+            .map(|i| ClientEndpoint::new(&mut c, 1, 10 + i).unwrap())
+            .collect();
+        let mut now = 0;
+        for (key, ep) in eps.iter().enumerate() {
+            ep.send_acquire(&mut c, 0, key as LockKey).unwrap();
+            now += 1;
+            assert_eq!(m.serve_step(&mut c, now, 8).unwrap(), 1);
+        }
+        assert_eq!(m.stats.grants, 5);
+        assert!(m.dead_ranks.is_empty(), "a full pair is not a dead rank");
+        for (key, ep) in eps.iter().enumerate() {
+            let Reply::Granted(g) = pump_for_reply(&mut c, &mut m, ep, &mut now) else {
+                panic!("expected a grant");
+            };
+            assert_eq!(g.key, key as LockKey);
+        }
     }
 }
