@@ -39,8 +39,8 @@ pub struct MsgStats {
     /// Registration-cache hits.
     pub cache_hits: u64,
 
-    /// Live sends examined by the progress engine. Per message this is
-    /// bounded by the sends in flight, not by the sends ever made.
+    /// Response records of live sends the progress engine read: at most
+    /// one per record written, however many sends are in flight.
     pub progress_visits: u64,
 }
 
