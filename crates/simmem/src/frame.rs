@@ -3,6 +3,8 @@
 //! Device models (the VIA NIC) address this arena by [`FrameId`] — the
 //! simulated equivalent of a bus-master DMA engine using physical addresses.
 
+use std::ops::Range;
+
 use crate::{MmError, PAGE_SIZE};
 
 /// Index of a physical page frame (the simulated physical page number).
@@ -91,29 +93,36 @@ impl PhysMem {
     }
 
     /// Byte range of a run starting at `offset` within frame `id`; the run
-    /// may span any number of *physically consecutive* frames.
-    fn run_range(&self, id: FrameId, offset: usize, len: usize) -> Result<usize, MmError> {
-        let start = id.0 as usize * PAGE_SIZE + offset;
-        let arena = self.nframes as usize * PAGE_SIZE;
-        if offset >= PAGE_SIZE || start + len > arena {
-            return Err(MmError::InvalidArgument("run exceeds physical memory"));
+    /// may span any number of *physically consecutive* frames. Total: an
+    /// offset outside the frame or a run past the arena, however absurd its
+    /// length, is refused, never an overflow.
+    fn run_range(&self, id: FrameId, offset: usize, len: usize) -> Result<Range<usize>, MmError> {
+        let start = (id.0 as usize)
+            .checked_mul(PAGE_SIZE)
+            .and_then(|base| base.checked_add(offset));
+        match start.and_then(|s| Some(s..s.checked_add(len)?)) {
+            Some(range) if offset < PAGE_SIZE && range.end <= self.bytes.len() => Ok(range),
+            _ => Err(MmError::InvalidArgument("run exceeds physical memory")),
         }
-        Ok(start)
     }
 
-    /// Read a physically contiguous run: `buf.len()` bytes starting at
-    /// `offset` within frame `id`, continuing through consecutive frames.
+    /// Borrow a physically contiguous run: `len` bytes starting at `offset`
+    /// within frame `id`, continuing through consecutive frames.
+    pub fn run(&self, id: FrameId, offset: usize, len: usize) -> Result<&[u8], MmError> {
+        Ok(&self.bytes[self.run_range(id, offset, len)?])
+    }
+
+    /// Read a physically contiguous run (see [`PhysMem::run`]) into `buf`.
     /// One burst transaction instead of a per-page loop.
     pub fn read_run(&self, id: FrameId, offset: usize, buf: &mut [u8]) -> Result<(), MmError> {
-        let start = self.run_range(id, offset, buf.len())?;
-        buf.copy_from_slice(&self.bytes[start..start + buf.len()]);
+        buf.copy_from_slice(self.run(id, offset, buf.len())?);
         Ok(())
     }
 
-    /// Write a physically contiguous run (see [`PhysMem::read_run`]).
+    /// Write a physically contiguous run (see [`PhysMem::run`]).
     pub fn write_run(&mut self, id: FrameId, offset: usize, buf: &[u8]) -> Result<(), MmError> {
-        let start = self.run_range(id, offset, buf.len())?;
-        self.bytes[start..start + buf.len()].copy_from_slice(buf);
+        let range = self.run_range(id, offset, buf.len())?;
+        self.bytes[range].copy_from_slice(buf);
         Ok(())
     }
 }
@@ -170,6 +179,35 @@ mod tests {
         assert!(pm.write_run(FrameId(3), PAGE_SIZE - 1, &[0u8; 1]).is_ok());
         assert!(pm.write_run(FrameId(3), PAGE_SIZE - 1, &[0u8; 2]).is_err());
         assert!(pm.read_run(FrameId(0), PAGE_SIZE, &mut [0u8; 1]).is_err());
+    }
+
+    #[test]
+    fn run_borrow_is_total() {
+        let mut pm = PhysMem::new(4);
+        pm.write_run(FrameId(3), PAGE_SIZE - 2, b"yz").unwrap();
+        assert_eq!(pm.run(FrameId(3), PAGE_SIZE - 2, 2).unwrap(), b"yz");
+        assert_eq!(
+            pm.run(FrameId(4), 0, 0).unwrap(),
+            b"",
+            "empty run at the end"
+        );
+        let refused = |r: Result<&[u8], MmError>| {
+            assert_eq!(
+                r,
+                Err(MmError::InvalidArgument("run exceeds physical memory"))
+            )
+        };
+        // Absurd lengths wrap nothing, in debug and release alike.
+        refused(pm.run(FrameId(0), 0, usize::MAX));
+        refused(pm.run(FrameId(3), PAGE_SIZE - 1, usize::MAX));
+        refused(pm.run(FrameId(u32::MAX), PAGE_SIZE - 1, usize::MAX));
+        // An offset outside its frame, even one that stays in the arena.
+        refused(pm.run(FrameId(0), PAGE_SIZE, 1));
+        refused(pm.run(FrameId(0), usize::MAX, 1));
+        // The last frame plus one byte, and the first frame past the arena.
+        refused(pm.run(FrameId(3), PAGE_SIZE - 2, 3));
+        refused(pm.run(FrameId(0), 0, 4 * PAGE_SIZE + 1));
+        refused(pm.run(FrameId(4), 0, 1));
     }
 
     #[test]

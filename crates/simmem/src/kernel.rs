@@ -717,6 +717,21 @@ impl Kernel {
         self.phys.read_run(frame, offset, out)
     }
 
+    /// Burst DMA read of a `len`-byte run (see [`Kernel::dma_read_run`])
+    /// appended to `out`: the gather into a payload buffer that is not
+    /// filled first, so its bytes are written once. A refused run appends
+    /// nothing.
+    pub fn dma_read_run_append(
+        &self,
+        frame: FrameId,
+        offset: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> MmResult<()> {
+        out.extend_from_slice(self.phys.run(frame, offset, len)?);
+        Ok(())
+    }
+
     /// Raw page-descriptor mutation used by the "risky" Giganet-style
     /// strategy that sets `PG_locked`/`PG_reserved` behind the VM's back.
     /// Flags are per-frame atomics, so a shared borrow suffices.
@@ -1007,6 +1022,23 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         k.read_user(pid, a + 4000, &mut out).unwrap();
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn dma_read_run_append_extends_and_refuses_whole() {
+        let mut k = Kernel::new(KernelConfig::small());
+        k.dma_write_run(FrameId(9), PAGE_SIZE - 3, b"abcdef")
+            .unwrap();
+        let mut out = b"head:".to_vec();
+        k.dma_read_run_append(FrameId(9), PAGE_SIZE - 3, 6, &mut out)
+            .unwrap();
+        assert_eq!(out, b"head:abcdef");
+        let past = FrameId(KernelConfig::small().nframes);
+        assert!(k.dma_read_run_append(past, 0, 1, &mut out).is_err());
+        assert!(k
+            .dma_read_run_append(FrameId(9), 0, usize::MAX, &mut out)
+            .is_err());
+        assert_eq!(out, b"head:abcdef", "a refused run appends nothing");
     }
 
     #[test]

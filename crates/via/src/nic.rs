@@ -100,7 +100,8 @@ impl_since!(NicStats {
 
 /// Recycling free list for packet payload buffers. Buffers keep their
 /// capacity across uses, so a steady-state exchange allocates nothing per
-/// message: `take` pops and resizes in place, `put` returns the buffer.
+/// message: `take` pops a buffer and empties it, the caller appends the
+/// payload, `put` returns the buffer.
 #[derive(Debug)]
 pub struct PacketPool {
     free: Vec<Vec<u8>>,
@@ -124,9 +125,11 @@ impl Default for PacketPool {
 }
 
 impl PacketPool {
-    /// A zeroed buffer of exactly `len` bytes, recycled when possible.
-    /// Zero-length requests get an unaccounted dummy (capacity 0) so the
-    /// take/put ledger only tracks real buffers.
+    /// An *empty* buffer with room for `len` bytes, recycled when
+    /// possible. The caller appends the payload, so every byte is written
+    /// once and none is left from the buffer's last use. Zero-length
+    /// requests get an unaccounted dummy (capacity 0) so the take/put
+    /// ledger only tracks real buffers.
     fn take(&mut self, len: usize, stats: &mut NicStats) -> Vec<u8> {
         if len == 0 {
             return Vec::new();
@@ -140,12 +143,12 @@ impl PacketPool {
                     stats.payload_allocs += 1;
                 }
                 buf.clear();
-                buf.resize(len, 0);
+                buf.reserve(len);
                 buf
             }
             None => {
                 stats.payload_allocs += 1;
-                vec![0u8; len]
+                Vec::with_capacity(len)
             }
         }
     }
@@ -167,7 +170,7 @@ impl PacketPool {
     /// when the receiver returns it.
     pub(crate) fn dup_payload(&mut self, data: &[u8], stats: &mut NicStats) -> Vec<u8> {
         let mut buf = self.take(data.len(), stats);
-        buf.copy_from_slice(data);
+        buf.extend_from_slice(data);
         buf
     }
 
@@ -677,17 +680,22 @@ impl Node {
     }
 
     /// The NIC-side DMA read of validated runs into a pooled payload
-    /// buffer sized by them.
+    /// buffer sized by them: one burst appended per run, so the gather is
+    /// the only copy of the bytes. A refused run hands the buffer back.
     fn read_pooled(&mut self, runs: &[DmaRun]) -> ViaResult<Vec<u8>> {
         let total = runs.iter().map(|r| r.len).sum();
         let mut out = self.pool.take(total, &mut self.nic.stats);
-        match self.read_runs(runs, &mut out, true) {
-            Ok(()) => Ok(out),
-            Err(e) => {
+        for run in runs {
+            let r = self
+                .kernel
+                .dma_read_run_append(run.frame, run.offset, run.len, &mut out);
+            if let Err(e) = r {
                 self.pool.put(out);
-                Err(e)
+                return Err(e.into());
             }
+            self.nic.stats.dma_ops += 1;
         }
+        Ok(out)
     }
 
     /// Gather the bytes of a send/RDMA descriptor out of physical memory
@@ -939,8 +947,8 @@ impl Node {
             let r = rdma_seg.ok_or(ViaError::BadState("cas without address segment"))?;
             self.nic.stats.atomic_cas += 1;
             let mut payload = self.pool.take(16, &mut self.nic.stats);
-            payload[..8].copy_from_slice(&compare.to_le_bytes());
-            payload[8..].copy_from_slice(&swap.to_le_bytes());
+            payload.extend_from_slice(&compare.to_le_bytes());
+            payload.extend_from_slice(&swap.to_le_bytes());
             let pkt = Packet {
                 src_node: node_index,
                 dst_node,
@@ -1173,7 +1181,7 @@ impl Node {
                 match r {
                     Ok(old) => {
                         let mut payload = self.pool.take(8, &mut self.nic.stats);
-                        payload.copy_from_slice(&old.to_le_bytes());
+                        payload.extend_from_slice(&old.to_le_bytes());
                         self.nic.stats.bytes_tx += 8;
                         Ok(vec![Packet {
                             src_node: packet.dst_node,
