@@ -67,6 +67,57 @@ pub struct DataSeg {
     pub len: usize,
 }
 
+/// A descriptor's gather/scatter list. The one-segment list every post
+/// builds is held inline, so building and posting a descriptor allocates
+/// nothing; a second segment moves the list to the heap. Derefs to
+/// `&[DataSeg]`.
+#[derive(Debug, Clone)]
+pub struct SegList(Segs);
+
+#[derive(Debug, Clone)]
+enum Segs {
+    One([DataSeg; 1]),
+    /// Any other length (an empty `Vec` holds no allocation).
+    Many(Vec<DataSeg>),
+}
+
+impl SegList {
+    /// A one-segment list.
+    pub fn one(seg: DataSeg) -> Self {
+        SegList(Segs::One([seg]))
+    }
+
+    /// Append a segment.
+    pub fn push(&mut self, seg: DataSeg) {
+        match &mut self.0 {
+            Segs::One([first]) => self.0 = Segs::Many(vec![*first, seg]),
+            Segs::Many(segs) if segs.is_empty() => self.0 = Segs::One([seg]),
+            Segs::Many(segs) => segs.push(seg),
+        }
+    }
+}
+
+impl std::ops::Deref for SegList {
+    type Target = [DataSeg];
+
+    fn deref(&self) -> &[DataSeg] {
+        match &self.0 {
+            Segs::One(seg) => seg,
+            Segs::Many(segs) => segs,
+        }
+    }
+}
+
+impl FromIterator<DataSeg> for SegList {
+    fn from_iter<I: IntoIterator<Item = DataSeg>>(iter: I) -> Self {
+        let mut list = SegList(Segs::Many(Vec::new()));
+        for seg in iter {
+            list.push(seg);
+        }
+        list
+    }
+}
+
 /// RDMA address segment: names the target range in the *remote* process'
 /// registered memory. The remote `MemId` travels out of band (the VIA spec
 /// leaves the exchange to the application protocol).
@@ -81,7 +132,7 @@ pub struct RdmaSeg {
 pub struct Descriptor {
     pub op: DescOp,
     /// Gather (send/RDMA) or scatter (recv) list.
-    pub segs: Vec<DataSeg>,
+    pub segs: SegList,
     /// Address segment for RDMA operations.
     pub rdma: Option<RdmaSeg>,
     /// Up to four bytes of immediate data carried in the descriptor itself.
@@ -98,7 +149,7 @@ impl Descriptor {
     pub fn send(mem: MemId, addr: VirtAddr, len: usize) -> Self {
         Descriptor {
             op: DescOp::Send,
-            segs: vec![DataSeg { mem, addr, len }],
+            segs: SegList::one(DataSeg { mem, addr, len }),
             rdma: None,
             imm: None,
             cas: None,
@@ -111,7 +162,7 @@ impl Descriptor {
     pub fn recv(mem: MemId, addr: VirtAddr, len: usize) -> Self {
         Descriptor {
             op: DescOp::Recv,
-            segs: vec![DataSeg { mem, addr, len }],
+            segs: SegList::one(DataSeg { mem, addr, len }),
             rdma: None,
             imm: None,
             cas: None,
@@ -130,7 +181,7 @@ impl Descriptor {
     ) -> Self {
         Descriptor {
             op: DescOp::RdmaWrite,
-            segs: vec![DataSeg { mem, addr, len }],
+            segs: SegList::one(DataSeg { mem, addr, len }),
             rdma: Some(RdmaSeg {
                 remote_mem,
                 remote_addr,
@@ -153,7 +204,7 @@ impl Descriptor {
     ) -> Self {
         Descriptor {
             op: DescOp::RdmaRead,
-            segs: vec![DataSeg { mem, addr, len }],
+            segs: SegList::one(DataSeg { mem, addr, len }),
             rdma: Some(RdmaSeg {
                 remote_mem,
                 remote_addr,
@@ -179,7 +230,7 @@ impl Descriptor {
     ) -> Self {
         Descriptor {
             op: DescOp::AtomicCas,
-            segs: vec![DataSeg { mem, addr, len: 8 }],
+            segs: SegList::one(DataSeg { mem, addr, len: 8 }),
             rdma: Some(RdmaSeg {
                 remote_mem,
                 remote_addr,
@@ -237,5 +288,28 @@ mod tests {
             len: 20,
         });
         assert_eq!(d.total_len(), 30);
+    }
+
+    #[test]
+    fn one_segment_is_inline_and_a_second_spills() {
+        let seg = |len| DataSeg {
+            mem: MemId(1),
+            addr: 0x1000,
+            len,
+        };
+        let lens = |l: &SegList| l.iter().map(|s| s.len).collect::<Vec<_>>();
+        let mut l = SegList::one(seg(1));
+        assert!(matches!(l.0, Segs::One(_)));
+        l.push(seg(2));
+        l.push(seg(3));
+        assert!(matches!(l.0, Segs::Many(_)));
+        assert_eq!(lens(&l), [1, 2, 3]);
+        assert_eq!((l.len(), l[2].len), (3, 3));
+        let collected: SegList = [seg(4)].into_iter().collect();
+        assert!(matches!(collected.0, Segs::One(_)));
+        let empty: SegList = std::iter::empty().collect();
+        assert!(empty.is_empty());
+        let three: SegList = (1..=3).map(seg).collect();
+        assert_eq!(lens(&three), [1, 2, 3]);
     }
 }

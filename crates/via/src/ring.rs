@@ -117,7 +117,7 @@ pub fn encode(desc: &Descriptor) -> ViaResult<Vec<u8>> {
         out[off + 8..off + 16].copy_from_slice(&swap.to_le_bytes());
         off += wire::ATOMIC_SIZE;
     }
-    for s in &desc.segs {
+    for s in desc.segs.iter() {
         out[off..off + 4].copy_from_slice(&s.mem.0.to_le_bytes());
         out[off + 4..off + 8].copy_from_slice(&(s.len as u32).to_le_bytes());
         out[off + 8..off + 16].copy_from_slice(&s.addr.to_le_bytes());
@@ -170,18 +170,16 @@ pub fn decode(bytes: &[u8]) -> ViaResult<Descriptor> {
     } else {
         None
     };
-    let mut segs = Vec::with_capacity(nsegs);
-    for _ in 0..nsegs {
-        let mem = le_u32(bytes, off);
-        let len = le_u32(bytes, off + 4) as usize;
-        let addr = le_u64(bytes, off + 8);
-        segs.push(DataSeg {
-            mem: MemId(mem),
-            addr,
-            len,
-        });
-        off += wire::SEG_SIZE;
-    }
+    let segs = (0..nsegs)
+        .map(|i| {
+            let at = off + i * wire::SEG_SIZE;
+            DataSeg {
+                mem: MemId(le_u32(bytes, at)),
+                addr: le_u64(bytes, at + 8),
+                len: le_u32(bytes, at + 4) as usize,
+            }
+        })
+        .collect();
     Ok(Descriptor {
         op,
         segs,

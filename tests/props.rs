@@ -513,7 +513,7 @@ mod dma_reference {
     fn desc(op: DescOp, segs: &[DataSeg], rdma: Option<&DataSeg>) -> Descriptor {
         Descriptor {
             op,
-            segs: segs.to_vec(),
+            segs: segs.iter().copied().collect(),
             rdma: rdma.map(|r| RdmaSeg {
                 remote_mem: r.mem,
                 remote_addr: r.addr,
