@@ -129,8 +129,6 @@ pub struct Kernel {
     pub(crate) swap_rotor: usize,
     /// The swap cache (2.4 semantics): slot → frame still holding the data.
     pub(crate) swap_cache: std::collections::HashMap<crate::SlotId, FrameId>,
-    /// Optional bigphys reservation (see [`crate::bigphys`]).
-    pub(crate) bigphys: Option<crate::bigphys::BigphysArea>,
     /// Pluggable deterministic fault injector (see [`crate::inject`]). The
     /// kernel consults it at named sites by code; `None` (the default) makes
     /// every site a single branch on a cold `Option`.
@@ -193,7 +191,6 @@ impl Kernel {
             next_pid: 1,
             swap_rotor: 0,
             swap_cache: std::collections::HashMap::new(),
-            bigphys: None,
             injector: None,
             lazy_pins: std::collections::HashMap::new(),
             lazy_invalidations: Vec::new(),
@@ -591,39 +588,6 @@ impl Kernel {
         Ok(frames)
     }
 
-    /// Map specific physical frames into a process (the driver `mmap` of a
-    /// bigphys region / device memory): creates a VMA and present,
-    /// writable PTEs, taking a reference on each frame.
-    pub fn map_frames(&mut self, pid: Pid, frames: &[FrameId]) -> MmResult<VirtAddr> {
-        if frames.is_empty() {
-            return Err(MmError::InvalidArgument("map_frames of nothing"));
-        }
-        let len = frames.len() * PAGE_SIZE;
-        let start = {
-            let proc = self.process_mut(pid)?;
-            let start = proc
-                .mm
-                .find_free_range(len as u64)
-                .ok_or(MmError::InvalidArgument(
-                    "map_frames wraps the address space",
-                ))?;
-            proc.mm.vmas.insert(VmArea {
-                start,
-                end: start + len as u64,
-                flags: VmFlags::rw(),
-            })?;
-            start
-        };
-        for (i, &f) in frames.iter().enumerate() {
-            self.pagemap.get_page(f);
-            let vpn = AddressSpace::vpn(start) + i as u64;
-            self.process_mut(pid)?
-                .mm
-                .set_pte(vpn, Pte::present(f, true));
-        }
-        Ok(start)
-    }
-
     /// Write-protect the present PTEs of `[addr, addr+len)` — the
     /// protection-trap arm of on-demand registration. Registered spans go
     /// read-only so the next CPU write traps through `do_wp_page`, which
@@ -954,11 +918,6 @@ impl Kernel {
             swapped_pages: swapped,
             orphaned_frames: self.count_orphaned_frames(),
             swap_cache_frames: self.swap_cache.len(),
-            bigphys_frames: self
-                .bigphys
-                .as_ref()
-                .map(|b| b.reserved_frames() as usize)
-                .unwrap_or(0),
         }
     }
 
@@ -1167,24 +1126,6 @@ mod tests {
             256,
             "free + resident + reserved(8+zero)"
         );
-    }
-
-    #[test]
-    fn map_frames_exposes_physical_memory() {
-        let mut k = Kernel::new(KernelConfig::small());
-        k.reserve_bigphys(16).unwrap();
-        let blk = k.bigphys_mut().unwrap().alloc(2, 1).unwrap();
-        let pid = k.spawn_process(Capabilities::default());
-        let frames = [blk.base, FrameId(blk.base.0 + 1)];
-        let va = k.map_frames(pid, &frames).unwrap();
-        k.write_user(pid, va + 10, b"mapped").unwrap();
-        let mut out = [0u8; 6];
-        k.dma_read(blk.base, 10, &mut out).unwrap();
-        assert_eq!(&out, b"mapped");
-        // munmap releases the mapping references without freeing the
-        // reserved frames.
-        k.munmap(pid, va, 2 * PAGE_SIZE).unwrap();
-        assert!(k.page_descriptor(blk.base).count() >= 1);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! assert_eq!(&back, b"hello");
 //! ```
 
-pub mod bigphys;
 pub mod error;
 pub mod fault;
 pub mod fork;
@@ -57,7 +56,6 @@ pub mod stats;
 pub mod swap;
 pub mod vma;
 
-pub use bigphys::{BigphysArea, BigphysBlock};
 pub use error::MmError;
 pub use frame::{FrameId, PhysMem};
 pub use kernel::{Capabilities, Injector, Kernel, KernelConfig, Pid};

@@ -221,5 +221,4 @@ pub struct MemInfo {
     pub swapped_pages: usize,
     pub orphaned_frames: usize,
     pub swap_cache_frames: usize,
-    pub bigphys_frames: usize,
 }

@@ -21,8 +21,9 @@
 //!   page the VM moved under an unreliable strategy is silently missed,
 //!   exactly as on real hardware.
 //!
-//! The [`vipl`] module exposes the familiar VIPL-style entry points
-//! (`VipRegisterMem`, `VipPostSend`, …) as thin wrappers for the examples.
+//! The VIPL entry points map one-to-one onto [`system::ViaSystem`] methods:
+//! `VipRegisterMem` is `register_mem`, `VipPostSend` is `post_send`,
+//! `VipCQDone` is `poll_cq`, and so on (`examples/quickstart.rs`).
 //!
 //! ```
 //! use via::system::ViaSystem;
@@ -55,7 +56,6 @@
 //! assert_eq!(&out, b"hello VIA");
 //! ```
 
-pub mod atu;
 pub mod descriptor;
 pub mod error;
 pub mod fabric;
@@ -66,7 +66,6 @@ pub mod system;
 pub mod threaded;
 pub mod tpt;
 pub mod vi;
-pub mod vipl;
 
 pub use descriptor::{DescOp, DescStatus, Descriptor};
 pub use error::{ViaError, ViaResult};

@@ -118,8 +118,12 @@ pub fn encode(desc: &Descriptor) -> ViaResult<Vec<u8>> {
         off += wire::ATOMIC_SIZE;
     }
     for s in desc.segs.iter() {
+        // The wire field is 32 bits: a longer segment must be refused, not
+        // truncated into a different descriptor than the one posted.
+        let len = u32::try_from(s.len)
+            .map_err(|_| ViaError::BadState("segment length exceeds the 32-bit wire field"))?;
         out[off..off + 4].copy_from_slice(&s.mem.0.to_le_bytes());
-        out[off + 4..off + 8].copy_from_slice(&(s.len as u32).to_le_bytes());
+        out[off + 4..off + 8].copy_from_slice(&len.to_le_bytes());
         out[off + 8..off + 16].copy_from_slice(&s.addr.to_le_bytes());
         off += wire::SEG_SIZE;
     }
@@ -381,6 +385,25 @@ mod tests {
         let back = decode(&encode(&d).unwrap()).unwrap();
         assert_eq!(back.segs.len(), 3);
         assert_eq!(back.total_len(), 60);
+    }
+
+    #[test]
+    fn segment_longer_than_the_wire_field_is_refused() {
+        // Truncated to 32 bits, this would reach the NIC as a 5-byte send.
+        let d = Descriptor::send(MemId(1), 0x1000, (1usize << 32) + 5);
+        assert!(matches!(encode(&d), Err(ViaError::BadState(_))));
+        // The second segment alone overflows: the refusal is per segment.
+        let mut d = Descriptor::send(MemId(1), 0x1000, 16);
+        d.segs.push(DataSeg {
+            mem: MemId(2),
+            addr: 0x2000,
+            len: (1usize << 32) + 5,
+        });
+        assert!(matches!(encode(&d), Err(ViaError::BadState(_))));
+        // The largest length the field holds still round-trips.
+        let d = Descriptor::send(MemId(1), 0x1000, u32::MAX as usize);
+        let back = decode(&encode(&d).unwrap()).unwrap();
+        assert_eq!(back.segs[0].len, u32::MAX as usize);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!   eight steps, across all four pinning strategies;
 //! * [`multireg`] — **E4**: multiple-registration semantics (naive mlock vs.
 //!   the registry's interval bookkeeping vs. kiobuf pin counts);
+//! * [`regmetrics`] — **E2**'s kernel events per registration (faults,
+//!   COW copies, VMA splits, `PG_locked` and `VM_LOCKED` pages);
 //! * [`cachebench`] — **E5**: registration-cache hit ratios under varying
 //!   buffer working sets;
 //! * [`netpipe`] — **E6/E7**: NetPIPE-style bandwidth/latency sweeps, both
@@ -23,7 +25,6 @@ pub mod minis;
 pub mod model;
 pub mod multireg;
 pub mod netpipe;
-pub mod oldstyle;
 pub mod pressure;
 pub mod regmetrics;
 pub mod tables;

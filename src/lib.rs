@@ -9,7 +9,7 @@
 //!   strategies, the nestable kiobuf pin table, region table and
 //!   registration cache;
 //! * [`via`] — the VIA stack (VIs, descriptors, doorbells, TPT, NIC,
-//!   kernel agent, fabric, VIPL facade);
+//!   kernel agent, and the `Fabric` surface over two fabrics);
 //! * [`netsim`] — calibrated interconnect cost models and the CPU
 //!   availability model;
 //! * [`msg`] — the CHEMPI-style message-passing layer (shared-memory /
