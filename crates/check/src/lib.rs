@@ -1,6 +1,6 @@
 //! Correctness tooling for the fabric's lock-free cores.
 //!
-//! Two prongs (see DESIGN.md §15):
+//! Three prongs (see DESIGN.md §15 and §21):
 //!
 //! 1. **Model checking** — [`sync`] is a shim the lock-free code is written
 //!    against: thin `std` re-exports normally, but under
@@ -15,7 +15,13 @@
 //!    orderings, no panics in datapath modules, `push_completion` as the
 //!    single completion choke point). Run it via
 //!    `cargo run -p check --bin lint`.
+//!
+//! 3. **Differentials and properties** — [`diff`] drives two
+//!    implementations of one behaviour through the same seeded script,
+//!    compares them after every step and shrinks a divergence to a
+//!    pasteable test; its case runner serves the property tests.
 
+pub mod diff;
 pub mod lint;
 pub mod sync;
 pub mod vc;

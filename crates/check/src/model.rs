@@ -43,9 +43,10 @@
 //!
 //! Exploration is bounded three ways: a **preemption bound** (schedules
 //! with more than N involuntary context switches are pruned — most real
-//! concurrency bugs need very few), a **schedule budget** (`max_schedules`,
-//! env-tunable via `MODEL_MAX_SCHEDULES`), and a per-execution **step
-//! limit** that turns accidental livelock into a typed failure.
+//! concurrency bugs need very few), a **schedule budget**
+//! (`max_schedules`), and a per-execution **step limit** that turns
+//! accidental livelock into a typed failure. All three are builder methods
+//! on [`Checker`].
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -750,16 +751,9 @@ impl Default for Checker {
 
 impl Checker {
     pub fn new() -> Self {
-        let max_schedules = std::env::var("MODEL_MAX_SCHEDULES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200_000);
-        let preemption_bound = std::env::var("MODEL_PREEMPTION_BOUND")
-            .ok()
-            .and_then(|v| v.parse().ok());
         Checker {
-            preemption_bound,
-            max_schedules,
+            preemption_bound: None,
+            max_schedules: 200_000,
             max_steps: 20_000,
         }
     }

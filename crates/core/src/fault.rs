@@ -294,7 +294,7 @@ pub fn kernel_hook(h: &FaultHandle) -> Box<dyn FnMut(u32) -> bool + Send> {
     })
 }
 
-/// SplitMix64 — the mixer the vendored proptest uses, reimplemented here so
+/// SplitMix64 — the mixer of the vendored `rand::rngs::StdRng`, reimplemented here so
 /// the plan owns its stream.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

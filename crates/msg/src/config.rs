@@ -1,10 +1,8 @@
 //! Protocol configuration: switch points and segment geometry.
 
-use serde::Serialize;
-
 /// Which protocol a message of a given size uses, plus the shared-memory
 /// segment and one-copy ring geometry.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsgConfig {
     /// Messages up to this size (bytes) use the shared-memory protocol.
     /// Must fit in one SM data slot.
@@ -82,7 +80,7 @@ impl MsgConfig {
 
 /// The three transfer protocols. The discriminant is the wire encoding
 /// (`MsgInfo::proto`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     SharedMemory = 0,
     OneCopy = 1,

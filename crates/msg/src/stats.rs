@@ -2,11 +2,10 @@
 //! The workload harness combines deltas of these with the `netsim` cost
 //! models to produce simulated transfer times.
 
-use serde::Serialize;
 use vialock::impl_since;
 
 /// Cumulative message-layer statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MsgStats {
     /// Messages sent via the shared-memory protocol.
     pub sm_msgs: u64,

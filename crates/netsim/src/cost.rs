@@ -5,13 +5,11 @@
 //! the standard LogP-style two-parameter model, which is what NetPIPE
 //! curves express.
 
-use serde::Serialize;
-
 /// Simulated nanoseconds.
 pub type Nanos = u64;
 
 /// A two-parameter (latency + 1/bandwidth) network profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkProfile {
     pub name: &'static str,
     /// One-way small-message latency in ns.

@@ -9,12 +9,10 @@
 //! `t_DMA − t_SHM`. The paper's surprising observation: the switching point
 //! where DMA becomes more affordable lies at only ~128 bytes.
 
-use serde::Serialize;
-
 use crate::cost::{Nanos, NetworkProfile};
 
 /// CPU-availability comparison at one message size.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CpuAvailability {
     pub bytes: usize,
     pub t_dma_ns: Nanos,

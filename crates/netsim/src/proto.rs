@@ -14,8 +14,6 @@
 //! bandwidth picture: an expensive or kernel-heavy pinning path pushes the
 //! zero-copy crossover to larger messages.
 
-use serde::Serialize;
-
 use crate::cost::{Nanos, NetworkProfile};
 
 /// Host page size assumed by the per-page registration charges (x86: 4 KiB;
@@ -27,7 +25,7 @@ pub const PAGE_BYTES: usize = 4096;
 /// the simulated-time protocol model; the *relative* magnitudes follow the
 /// structure of each strategy (mlock walks and splits VMAs; kiobuf faults
 /// and locks per page; refcount only bumps a counter per page).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegistrationCost {
     /// Fixed trap into the kernel agent.
     pub trap_ns: Nanos,
@@ -85,7 +83,7 @@ impl RegistrationCost {
 }
 
 /// The full protocol cost model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ProtocolCosts {
     /// SCI PIO path (shared-memory protocol).
     pub pio: NetworkProfile,

@@ -12,12 +12,10 @@
 
 use std::collections::{BinaryHeap, HashMap};
 
-use serde::Serialize;
-
 use crate::cost::Nanos;
 
 /// One physical link of the cluster, usable in both directions.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     pub a: usize,
     pub b: usize,
@@ -35,7 +33,7 @@ impl Link {
 }
 
 /// The global network description `mdconfig` parses.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkDescription {
     pub n_nodes: usize,
     pub links: Vec<Link>,
@@ -47,14 +45,14 @@ pub struct NetworkDescription {
 }
 
 /// One hop of a planned route.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     pub to: usize,
     pub device: &'static str,
 }
 
 /// A planned route: hops from source to destination plus its total cost.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Route {
     pub hops: Vec<Hop>,
     pub cost_ns: Nanos,
@@ -73,7 +71,7 @@ impl Route {
 }
 
 /// The per-node output of the planner: `routes[src][dst]`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct RouteTable {
     pub msg_bytes: usize,
     routes: Vec<Vec<Option<Route>>>,

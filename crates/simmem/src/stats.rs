@@ -7,8 +7,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Implements a `since(&self, earlier: &Self) -> Self` windowed difference
 /// for a counter struct, subtracting field by field. The field list must be
 /// exhaustive — the struct-literal expansion fails to compile if a field is
@@ -31,7 +29,7 @@ macro_rules! impl_since {
 }
 
 /// Cumulative memory-management statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MmStats {
     /// Minor faults: demand-zero, COW breaks, zero-page maps.
     pub minor_faults: u64,
@@ -211,7 +209,7 @@ mod tests {
 }
 
 /// A /proc/meminfo-style snapshot (see [`crate::Kernel::meminfo`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemInfo {
     pub total_frames: usize,
     pub free_frames: usize,

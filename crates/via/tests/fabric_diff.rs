@@ -1,5 +1,5 @@
 //! A seeded cross-fabric differential: one generated script, two fabrics,
-//! the same behaviour under injected faults.
+//! the same behaviour under injected faults. Driven by [`check::diff`].
 //!
 //! Each seed draws a script from `fabric_surface`'s vocabulary — processes,
 //! mappings, CPU stores and loads, registrations, VIs, reliability levels,
@@ -47,14 +47,17 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use check::diff::{self, Side};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simmem::{prot, KernelConfig, Pid, VirtAddr, PAGE_SIZE};
 use via::ring::DescriptorRing;
 use via::tpt::{MemId, ProtectionTag};
-use via::vi::{Reliability, ViId};
-use via::{ClusterBuilder, DescOp, Descriptor, Fabric, Node, ViaResult, ViaSystem};
+use via::vi::Reliability::{self, Reliable, Unreliable};
+use via::vi::ViId;
+use via::{ClusterBuilder, Descriptor, Fabric, Node, ThreadedCluster, ViaResult, ViaSystem};
 use vialock::{fault, FaultHandle, FaultPlan, FaultSite, StrategyKind};
+use Post::{Cas, RdmaRead, RdmaWrite, Recv, Send};
 
 const RW: u8 = prot::READ | prot::WRITE;
 const TAG: ProtectionTag = ProtectionTag(1);
@@ -73,29 +76,57 @@ enum Op {
     Mmap(usize, Pid, usize),
     Munmap(usize, Pid, VirtAddr, usize),
     Touch(usize, Pid, VirtAddr, usize, bool),
-    Write(usize, Pid, VirtAddr, Vec<u8>),
+    /// `len` copies of one byte.
+    Write(usize, Pid, VirtAddr, u8, usize),
     Read(usize, Pid, VirtAddr, usize),
     Register(usize, Pid, VirtAddr, usize, ProtectionTag, bool),
     Deregister(usize, MemId),
     CreateVi(usize, Pid, ProtectionTag),
     SetReliability(usize, ViId, Reliability),
     Connect((usize, ViId), (usize, ViId)),
-    /// `(vi, descriptor, send queue?)`, posted by one closure.
-    Batch(usize, Vec<(ViId, Descriptor, bool)>),
-    /// Post `recv` through a two-slot ring at `(ring_mem, ring_at)` and let
-    /// the NIC fetch it into `vi`'s receive queue.
+    /// `(vi, descriptor, immediate data, send queue?)`, posted by one
+    /// closure.
+    Batch(usize, Vec<(ViId, Post, u32, bool)>),
+    /// Post a receive into `recv` `(mem, addr, len)` through a two-slot
+    /// ring at `(ring_mem, ring_at)` and let the NIC fetch it into `vi`'s
+    /// receive queue.
     RingRecv {
         node: usize,
         pid: Pid,
         vi: ViId,
         ring_mem: MemId,
         ring_at: VirtAddr,
-        recv: Descriptor,
+        recv: (MemId, VirtAddr, usize),
     },
     Exit(usize, Pid),
 }
 
+/// A descriptor as a script names it: the `Descriptor` constructor of the
+/// same name and arguments (a CAS swaps `word` for `word + 1`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Post {
+    Send(MemId, VirtAddr, usize),
+    Recv(MemId, VirtAddr, usize),
+    RdmaRead(MemId, VirtAddr, usize, MemId, VirtAddr),
+    RdmaWrite(MemId, VirtAddr, usize, MemId, VirtAddr),
+    Cas(MemId, VirtAddr, MemId, VirtAddr, u64),
+}
+
+impl Post {
+    fn desc(self, imm: u32) -> Descriptor {
+        match self {
+            Send(m, a, l) => Descriptor::send(m, a, l),
+            Recv(m, a, l) => Descriptor::recv(m, a, l),
+            RdmaRead(m, a, l, rm, ra) => Descriptor::rdma_read(m, a, l, rm, ra),
+            RdmaWrite(m, a, l, rm, ra) => Descriptor::rdma_write(m, a, l, rm, ra),
+            Cas(m, a, rm, ra, w) => Descriptor::atomic_cas(m, a, rm, ra, w, w + 1),
+        }
+        .with_imm(imm)
+    }
+}
+
 /// What a successful step made, for the harness's model.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Made {
     Nothing,
     Pid(Pid),
@@ -125,7 +156,9 @@ fn apply<F: Fabric>(fab: &mut F, op: &Op) -> (String, Option<Made>) {
         Op::Touch(n, pid, addr, len, write) => {
             line(fab.touch_pages(n, pid, addr, len, write), nothing)
         }
-        Op::Write(n, pid, addr, data) => line(fab.write_user(n, pid, addr, &data), nothing),
+        Op::Write(n, pid, addr, byte, len) => {
+            line(fab.write_user(n, pid, addr, &vec![byte; len]), nothing)
+        }
         Op::Read(n, pid, addr, len) => {
             let mut buf = vec![0u8; len];
             // What a failed read leaves in the caller's buffer is not part
@@ -145,7 +178,7 @@ fn apply<F: Fabric>(fab: &mut F, op: &Op) -> (String, Option<Made>) {
             let r = fab.try_with_node(n, move |node| {
                 posts
                     .into_iter()
-                    .map(|(vi, desc, send)| node.nic.post(vi, desc, send))
+                    .map(|(vi, post, imm, send)| node.nic.post(vi, post.desc(imm), send))
                     .collect::<Vec<_>>()
             });
             (format!("{r:?}"), None)
@@ -160,7 +193,11 @@ fn apply<F: Fabric>(fab: &mut F, op: &Op) -> (String, Option<Made>) {
         } => line(
             fab.try_with_node(node, move |node| -> ViaResult<usize> {
                 let mut ring = DescriptorRing::new(ring_mem, ring_at, 2);
-                ring.post(&mut node.kernel, pid, &recv)?;
+                ring.post(
+                    &mut node.kernel,
+                    pid,
+                    &Descriptor::recv(recv.0, recv.1, recv.2),
+                )?;
                 node.prefetch_ring_recvs(vi, &mut ring)
             })
             .and_then(|r| r),
@@ -224,22 +261,87 @@ fn quiesce<F: Fabric>(fab: &mut F) -> Result<(), String> {
     fab.check_invariants()
 }
 
-/// Everything the two fabrics must agree on after one step.
+/// Everything the two fabrics must agree on after one step: per node, the
+/// lines of [`observe`] and the fault counts.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
-    result: String,
-    nodes: Vec<String>,
+    nodes: Vec<Vec<String>>,
     faults: Vec<String>,
-    invariants: Result<(), String>,
 }
 
-fn snapshot<F: Fabric>(fab: &mut F, plans: &[FaultHandle], result: String) -> Snapshot {
-    let invariants = quiesce(fab);
-    Snapshot {
-        result,
-        nodes: (0..fab.node_count()).map(|n| observe(fab, n)).collect(),
-        faults: plans.iter().map(fault_counts).collect(),
-        invariants,
+/// A fabric and the plans installed on its nodes.
+struct Fab<F> {
+    fab: F,
+    plans: Vec<FaultHandle>,
+}
+
+impl<F: Fabric> Side<Op, (String, Option<Made>), Snapshot> for Fab<F> {
+    fn apply(&mut self, op: &Op) -> (String, Option<Made>) {
+        apply(&mut self.fab, op)
+    }
+
+    fn snapshot(&mut self) -> Result<Snapshot, String> {
+        quiesce(&mut self.fab)?;
+        let nodes = (0..self.fab.node_count()).map(|n| observe(&mut self.fab, n));
+        Ok(Snapshot {
+            nodes: nodes
+                .map(|s| s.lines().map(String::from).collect())
+                .collect(),
+            faults: self.plans.iter().map(fault_counts).collect(),
+        })
+    }
+}
+
+#[derive(Debug)]
+struct Twins {
+    seed: u64,
+}
+
+impl diff::Twins for Twins {
+    type Op = Op;
+    type Out = (String, Option<Made>);
+    type Snap = Snapshot;
+    type Left = Fab<ViaSystem>;
+    type Right = Fab<ThreadedCluster>;
+
+    /// The same nodes on both fabrics, each node with its own plan. The
+    /// low three bits of the seed pick node count, strategy and swap
+    /// semantics, so every combination recurs.
+    fn build(&self) -> (Fab<ViaSystem>, Fab<ThreadedCluster>) {
+        let seed = self.seed;
+        let nodes = 2 + (seed & 1) as usize;
+        let strategy = if seed & 2 == 0 {
+            StrategyKind::KiobufReliable
+        } else {
+            StrategyKind::OnDemand
+        };
+        // Small enough that touching a few mappings makes the stealer work.
+        let config = KernelConfig {
+            nframes: 24,
+            reserved_frames: 4,
+            swap_slots: 256,
+            default_rlimit_memlock: None,
+            swap_cache: seed & 4 != 0,
+        };
+        let mut rng = StdRng::seed_from_u64(0xD1FF ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let plans: Vec<FaultPlan> = (0..nodes).map(|_| draw_plan(&mut rng)).collect();
+        fn install<F: Fabric>(fab: F, plans: &[FaultPlan]) -> Fab<F> {
+            let mut fab = Fab {
+                fab,
+                plans: Vec::new(),
+            };
+            for (n, plan) in plans.iter().enumerate() {
+                let h = fault::handle(plan.clone());
+                fab.plans.push(h.clone());
+                let install = move |node: &mut Node| node.install_fault_plan(&h);
+                fab.fab.try_with_node(n, install).unwrap();
+            }
+            fab
+        }
+        (
+            install(ViaSystem::new(nodes, config, strategy), &plans),
+            install(ClusterBuilder::new(nodes, config, strategy).build(), &plans),
+        )
     }
 }
 
@@ -304,18 +406,20 @@ struct Model {
     maps: Vec<Map>,
     regs: Vec<Reg>,
     vis: Vec<Vi>,
+    /// Steps taken and typed errors they returned.
+    steps: u64,
+    errors: u64,
 }
 
+/// An element of `xs`, the older ones likelier: a shrunk script then
+/// keeps fewer of the steps that made the ids it names.
 fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> Option<&'a T> {
-    if xs.is_empty() {
-        None
-    } else {
-        xs.get(rng.random_range(0..xs.len()))
-    }
+    let mut draw = || rng.random_range(0..xs.len());
+    (!xs.is_empty()).then(|| &xs[draw().min(draw())])
 }
 
 impl Model {
-    fn draw(&self, rng: &mut StdRng, step: usize) -> Op {
+    fn draw_op(&self, rng: &mut StdRng, step: usize) -> Op {
         let n = rng.random_range(0..self.nodes);
         let procs: Vec<Pid> = self
             .procs
@@ -350,7 +454,7 @@ impl Model {
                 let off = rng.random_range(0..span);
                 let len = rng.random_range(1..(span - off).min(300) + 1);
                 let byte = (step % 251) as u8;
-                Op::Write(n, pid, map.addr + off as u64, vec![byte; len])
+                Op::Write(n, pid, map.addr + off as u64, byte, len)
             }
             24..=29 => Op::Read(n, pid, map.addr, span),
             30..=41 => {
@@ -375,11 +479,7 @@ impl Model {
             }
             52..=54 => match pick(rng, &self.vis) {
                 Some(v) => {
-                    let r = if rng.random_range(0..2u32) == 0 {
-                        Reliability::Reliable
-                    } else {
-                        Reliability::Unreliable
-                    };
+                    let r = [Reliable, Unreliable][rng.random_range(0..2usize)];
                     Op::SetReliability(v.node, v.vi, r)
                 }
                 None => Op::CreateVi(n, pid, TAG),
@@ -457,7 +557,7 @@ impl Model {
         if vis.is_empty() {
             return None;
         }
-        let mut posts: Vec<(ViId, Descriptor, bool)> = Vec::new();
+        let mut posts: Vec<(ViId, Post, u32, bool)> = Vec::new();
         let (mut remote_answers, mut loopback_packets) = (0usize, 0usize);
         let imm0 = rng.random_range(0..1u32 << 20) << 8;
         for k in 0..rng.random_range(1..8usize) {
@@ -468,8 +568,7 @@ impl Model {
             let imm = imm0 | k as u32;
             let kind = rng.random_range(0..100u32);
             if kind < 25 {
-                let recv = Descriptor::recv(local.mem, local.addr, local.len);
-                posts.push((v.vi, recv.with_imm(imm), false));
+                posts.push((v.vi, Recv(local.mem, local.addr, local.len), imm, false));
                 continue;
             }
             let remote_reg = v.peer.and_then(|(pn, pv)| {
@@ -477,27 +576,32 @@ impl Model {
                 self.reg_of(rng, pn, owner.pid, v.tag)
             });
             let (addr, len) = Self::span_in(rng, &local, 300);
-            let desc = match (kind, remote_reg) {
-                (25..=39, _) | (_, None) => Descriptor::send(local.mem, addr, len),
+            let post = match (kind, remote_reg) {
+                (25..=39, _) | (_, None) => Send(local.mem, addr, len),
                 (40..=54, Some(remote)) => {
                     let (raddr, _) = Self::span_in(rng, &remote, 8);
                     let len = len.min(remote.len - (raddr - remote.addr) as usize);
-                    Descriptor::rdma_read(local.mem, addr, len, remote.mem, raddr)
+                    RdmaRead(local.mem, addr, len, remote.mem, raddr)
                 }
                 (55..=69, Some(remote)) => {
                     let (raddr, _) = Self::span_in(rng, &remote, 8);
-                    let word = rng.random_range(0..4u64);
-                    Descriptor::atomic_cas(local.mem, addr, remote.mem, raddr, word, word + 1)
+                    Cas(
+                        local.mem,
+                        addr,
+                        remote.mem,
+                        raddr,
+                        rng.random_range(0..4u64),
+                    )
                 }
                 (_, Some(remote)) => {
                     let (raddr, _) = Self::span_in(rng, &remote, 8);
                     let len = len.min(remote.len - (raddr - remote.addr) as usize);
-                    Descriptor::rdma_write(local.mem, addr, len, remote.mem, raddr)
+                    RdmaWrite(local.mem, addr, len, remote.mem, raddr)
                 }
             };
             let loopback = v.peer.is_some_and(|p| p.0 == n);
-            let answered_off_node = v.peer.is_some_and(|p| p.0 != n)
-                && matches!(desc.op, DescOp::RdmaRead | DescOp::AtomicCas);
+            let answered_off_node =
+                v.peer.is_some_and(|p| p.0 != n) && matches!(post, RdmaRead(..) | Cas(..));
             if (answered_off_node && (remote_answers > 0 || loopback_packets > 0))
                 || (loopback && remote_answers > 0)
             {
@@ -505,17 +609,16 @@ impl Model {
             }
             remote_answers += answered_off_node as usize;
             loopback_packets += loopback as usize;
-            if loopback && desc.op == DescOp::Send && rng.random_range(0..5u32) > 0 {
+            if loopback && matches!(post, Send(..)) && rng.random_range(0..5u32) > 0 {
                 // Give the send a receive to land in.
                 let peer = self.vis.iter().find(|w| Some((w.node, w.vi)) == v.peer);
                 if let Some(p) = peer {
                     if let Some(r) = self.reg_of(rng, n, p.pid, p.tag) {
-                        let recv = Descriptor::recv(r.mem, r.addr, r.len).with_imm(imm | 0x80);
-                        posts.push((p.vi, recv, false));
+                        posts.push((p.vi, Recv(r.mem, r.addr, r.len), imm | 0x80, false));
                     }
                 }
             }
-            posts.push((v.vi, desc.with_imm(imm), true));
+            posts.push((v.vi, post, imm, true));
         }
         (!posts.is_empty()).then_some(Op::Batch(n, posts))
     }
@@ -541,13 +644,13 @@ impl Model {
             vi: v.vi,
             ring_mem: ring.mem,
             ring_at: ring.addr,
-            recv: Descriptor::recv(buf.mem, buf.addr, buf.len),
+            recv: (buf.mem, buf.addr, buf.len),
         })
     }
 
     /// Fold an agreed result into the picture.
-    fn record(&mut self, op: &Op, made: Made) {
-        match (op, made) {
+    fn record(&mut self, op: &Op, made: &Made) {
+        match (op, *made) {
             (Op::Spawn(n), Made::Pid(pid)) => self.procs.push((*n, pid)),
             (&Op::Mmap(node, pid, pages), Made::Addr(addr)) => self.maps.push(Map {
                 node,
@@ -601,122 +704,25 @@ impl Model {
     }
 }
 
-/// What the seeds exercised; `fired[side][site]`, deterministic fabric
-/// first.
-#[derive(Default)]
-struct Coverage {
-    fired: [[u64; FaultSite::ALL.len()]; 2],
-    errors: u64,
-    steps: u64,
-}
+impl diff::Model<Twins> for Model {
+    fn draw(&mut self, rng: &mut StdRng, step: usize) -> Op {
+        self.draw_op(rng, step)
+    }
 
-/// Run one seed's script on both fabrics; panic at the first step where
-/// they disagree.
-fn run_seed(seed: u64, cov: &mut Coverage) {
-    // The low three bits of the seed pick node count, strategy and swap
-    // semantics, so every combination recurs.
-    let nodes = 2 + (seed & 1) as usize;
-    let strategy = if seed & 2 == 0 {
-        StrategyKind::KiobufReliable
-    } else {
-        StrategyKind::OnDemand
-    };
-    // Small enough that touching a few mappings makes the stealer work.
-    let config = KernelConfig {
-        nframes: 24,
-        reserved_frames: 4,
-        swap_slots: 256,
-        default_rlimit_memlock: None,
-        swap_cache: seed & 4 != 0,
-    };
-    let mut det = ViaSystem::new(nodes, config, strategy);
-    let mut thr = ClusterBuilder::new(nodes, config, strategy).build();
-    let mut rng = StdRng::seed_from_u64(0xD1FF ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut plans: [Vec<FaultHandle>; 2] = [Vec::new(), Vec::new()];
-    for n in 0..nodes {
-        let plan = draw_plan(&mut rng);
-        for (side, handles) in plans.iter_mut().enumerate() {
-            let h = fault::handle(plan.clone());
-            handles.push(h.clone());
-            let install = move |node: &mut Node| node.install_fault_plan(&h);
-            if side == 0 {
-                det.try_with_node(n, install).unwrap();
-            } else {
-                thr.try_with_node(n, install).unwrap();
-            }
-        }
-    }
-    let mut model = Model {
-        nodes,
-        procs: Vec::new(),
-        maps: Vec::new(),
-        regs: Vec::new(),
-        vis: Vec::new(),
-    };
-    let check = |step: &str, op: &dyn std::fmt::Debug, d: &Snapshot, t: &Snapshot| {
-        if d == t {
-            return;
-        }
-        let mut why = String::new();
-        if d.result != t.result {
-            let _ = writeln!(why, "result: {} | {}", d.result, t.result);
-        }
-        for (n, (a, b)) in d.nodes.iter().zip(&t.nodes).enumerate() {
-            for (la, lb) in a.lines().zip(b.lines()) {
-                if la != lb {
-                    let _ = writeln!(why, "node {n}:\n  det {la}\n  thr {lb}");
-                }
-            }
-        }
-        for (n, (a, b)) in d.faults.iter().zip(&t.faults).enumerate() {
-            if a != b {
-                let _ = writeln!(why, "node {n} faults:\n  det {a}\n  thr {b}");
-            }
-        }
-        if d.invariants != t.invariants {
-            let _ = writeln!(why, "invariants: {:?} | {:?}", d.invariants, t.invariants);
-        }
-        panic!("seed {seed} step {step}: {op:?}\n(deterministic | threaded)\n{why}");
-    };
-    for step in 0..STEPS {
-        let op = model.draw(&mut rng, step);
-        let (dline, made) = apply(&mut det, &op);
-        let (tline, _) = apply(&mut thr, &op);
-        let d = snapshot(&mut det, &plans[0], dline);
-        let t = snapshot(&mut thr, &plans[1], tline);
-        check(&step.to_string(), &op, &d, &t);
-        if let Err(e) = &d.invariants {
-            panic!("seed {seed} step {step}: {op:?}: invariants: {e}");
-        }
-        cov.steps += 1;
-        cov.errors += d.result.matches("Err(").count() as u64;
+    fn observe(&mut self, op: &Op, (line, made): &(String, Option<Made>)) {
+        self.steps += 1;
+        self.errors += line.matches("Err(").count() as u64;
         if let Some(made) = made {
-            model.record(&op, made);
+            self.record(op, made);
         }
     }
-    // Teardown: every process exits, then nothing may be left pinned,
-    // mapped into the TPT or lazily pinned anywhere.
-    for (n, pid) in model.procs.clone() {
-        let op = Op::Exit(n, pid);
-        let (dline, _) = apply(&mut det, &op);
-        let (tline, _) = apply(&mut thr, &op);
-        let d = snapshot(&mut det, &plans[0], dline);
-        let t = snapshot(&mut thr, &plans[1], tline);
-        check("teardown", &op, &d, &t);
-    }
-    for (side, handles) in plans.iter().enumerate() {
-        for h in handles {
-            let plan = h.lock().unwrap();
-            for (i, &site) in FaultSite::ALL.iter().enumerate() {
-                cov.fired[side][i] += plan.fired(site);
-            }
-        }
-    }
-    for (side, leaks) in [leak_audit(&mut det), leak_audit(&mut thr)]
-        .into_iter()
-        .enumerate()
-    {
-        assert!(leaks.is_empty(), "seed {seed}, fabric {side}: {leaks:?}");
+
+    /// Every process exits; `done` then audits for leaks.
+    fn teardown(&mut self) -> Vec<Op> {
+        self.procs
+            .iter()
+            .map(|&(n, pid)| Op::Exit(n, pid))
+            .collect()
     }
 }
 
@@ -740,20 +746,52 @@ fn leak_audit<F: Fabric>(fab: &mut F) -> Vec<(usize, usize, usize, usize)> {
 #[test]
 fn both_fabrics_agree_step_by_step_under_per_node_fault_plans() {
     let started = Instant::now();
-    let mut cov = Coverage::default();
-    for seed in 0..SEEDS {
-        run_seed(seed, &mut cov);
-    }
+    // `fired[side][site]`, deterministic fabric first.
+    let mut fired = [[0u64; FaultSite::ALL.len()]; 2];
+    let (mut steps, mut errors) = (0, 0);
+    diff::run(
+        0..SEEDS,
+        STEPS,
+        |seed| {
+            let model = Model {
+                nodes: 2 + (seed & 1) as usize,
+                procs: Vec::new(),
+                maps: Vec::new(),
+                regs: Vec::new(),
+                vis: Vec::new(),
+                steps: 0,
+                errors: 0,
+            };
+            (Twins { seed }, model)
+        },
+        |twins, mut det, mut thr, model| {
+            (steps, errors) = (steps + model.steps, errors + model.errors);
+            for (side, plans) in [&det.plans, &thr.plans].into_iter().enumerate() {
+                for h in plans {
+                    let plan = h.lock().unwrap();
+                    for (i, &site) in FaultSite::ALL.iter().enumerate() {
+                        fired[side][i] += plan.fired(site);
+                    }
+                }
+            }
+            // Nothing may be left pinned, mapped into the TPT or lazily
+            // pinned anywhere once every process has exited.
+            for (side, leaks) in [leak_audit(&mut det.fab), leak_audit(&mut thr.fab)]
+                .into_iter()
+                .enumerate()
+            {
+                assert!(leaks.is_empty(), "{twins:?}, fabric {side}: {leaks:?}");
+            }
+        },
+    );
     eprintln!(
-        "fabric_diff: {SEEDS} seeds, {} steps, {} typed errors, {:.1?}; fired per site \
+        "fabric_diff: {SEEDS} seeds, {steps} steps, {errors} typed errors, {:.1?}; fired per site \
          (deterministic, threaded): {:?}",
-        cov.steps,
-        cov.errors,
         started.elapsed(),
         FaultSite::ALL
             .iter()
             .enumerate()
-            .map(|(i, s)| format!("{s} {}/{}", cov.fired[0][i], cov.fired[1][i]))
+            .map(|(i, s)| format!("{s} {}/{}", fired[0][i], fired[1][i]))
             .collect::<Vec<_>>(),
     );
     // The differential means something only if the faults bit.
@@ -762,7 +800,7 @@ fn both_fabrics_agree_step_by_step_under_per_node_fault_plans() {
             FaultSite::WireDrop | FaultSite::WireDuplicate | FaultSite::WireDelay => 10,
             _ => 1,
         };
-        for fired in cov.fired {
+        for fired in fired {
             assert!(
                 fired[i] >= floor,
                 "{site} fired {} times, want {floor}",
@@ -770,5 +808,5 @@ fn both_fabrics_agree_step_by_step_under_per_node_fault_plans() {
             );
         }
     }
-    assert!(cov.errors > 0, "no typed error in {} steps", cov.steps);
+    assert!(errors > 0, "no typed error in {steps} steps");
 }

@@ -4,14 +4,13 @@
 //! the cache holds `cache_pages` pages. Hit ratio and registrations per
 //! send fall out of the functional run.
 
-use serde::Serialize;
 use simmem::KernelConfig;
 use vialock::StrategyKind;
 
 use msg::{Comm, MsgConfig};
 
 /// One cache-experiment row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CachePoint {
     pub working_set_buffers: usize,
     pub cache_pages: usize,

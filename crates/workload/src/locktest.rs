@@ -3,7 +3,6 @@
 //! the loop (the "kernel agent write" of step 5 is a DMA through the
 //! translation the NIC captured at registration time).
 
-use serde::Serialize;
 use simmem::{prot, Capabilities, KernelConfig, PAGE_SIZE};
 use via::nic::Node;
 use via::tpt::ProtectionTag;
@@ -16,7 +15,7 @@ use crate::pressure::apply_pressure;
 pub const DMA_MAGIC: u8 = 0xD7;
 
 /// Outcome of one locktest run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LocktestOutcome {
     pub strategy: &'static str,
     /// Pages whose physical address changed between steps 2 and 6.

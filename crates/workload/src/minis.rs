@@ -15,7 +15,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use simmem::KernelConfig;
 use via::Fabric;
 use vialock::StrategyKind;
@@ -36,7 +35,7 @@ const KEY_RANGE: u32 = 1 << 20;
 const NS_PER_KEY_OP: f64 = 20.0;
 
 /// One network's end-to-end result for the mini-IS run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IsNetworkResult {
     pub network: &'static str,
     pub comm_ns: Nanos,
@@ -47,7 +46,7 @@ pub struct IsNetworkResult {
 }
 
 /// The full mini-IS report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IsReport {
     pub ranks: usize,
     pub keys_per_rank: usize,

@@ -10,14 +10,13 @@
 //! * the registry's mlock with interval bookkeeping: pages stay locked;
 //! * the kiobuf proposal: per-frame pin counts keep the `PG_locked` bits.
 
-use serde::Serialize;
 use simmem::{prot, Capabilities, Kernel, KernelConfig, PAGE_SIZE};
 use vialock::{MemoryRegistry, StrategyKind};
 
 use crate::pressure::apply_pressure;
 
 /// Outcome of one multiple-registration scenario.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MultiregOutcome {
     pub scheme: &'static str,
     /// Pages that survived in place after dereg-once + pressure.

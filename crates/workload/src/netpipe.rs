@@ -9,7 +9,6 @@
 //!   model — so protocol choice, chunking, registration caching and all
 //!   control traffic come from the real implementation, not a formula.
 
-use serde::Serialize;
 use simmem::KernelConfig;
 use via::{Fabric, ThreadedCluster};
 use vialock::StrategyKind;
@@ -22,7 +21,7 @@ use netsim::sweep::bandwidth_mb_s;
 use crate::model::{reg_cost_for, time_from_stats};
 
 /// One sweep data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     pub bytes: usize,
     pub one_way_ns: u64,

@@ -4,12 +4,11 @@
 //! `npages` costs under each strategy. These counts are exact and
 //! machine-independent, so they pin down the *why* behind the E2 curves.
 
-use serde::Serialize;
 use simmem::{prot, Capabilities, Kernel, KernelConfig, MmStats, PAGE_SIZE};
 use vialock::{MemoryRegistry, StrategyKind};
 
 /// Event counts for one registration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RegMetrics {
     pub strategy: &'static str,
     pub npages: usize,

@@ -13,7 +13,9 @@
 //! The deterministic per-site sweep doubles as the CI `chaos-smoke` run:
 //! seeds are fixed, so a failure reproduces with `cargo test --test chaos`.
 
-use proptest::prelude::*;
+use check::diff::cases;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 
 use dlm::sim::ServerSim;
 use msg::{Comm, MsgConfig};
@@ -343,44 +345,49 @@ fn chaos_dlm_round_every_site() {
 // Randomised sweeps
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// A random site of the catalog.
+fn site(rng: &mut StdRng) -> usize {
+    rng.random_range(0..FaultSite::ALL.len())
+}
 
-    /// The acceptance sweep: every single-fault plan — any site, any hit
-    /// position, any failure burst — yields success or a typed error with
-    /// all four invariants held.
-    #[test]
-    fn single_fault_plans_degrade_cleanly(
-        shape in (0usize..FaultSite::ALL.len(), 0u64..6, 1u64..4),
-        seed in any::<u64>(),
-    ) {
+/// The acceptance sweep: every single-fault plan — any site, any hit
+/// position, any failure burst — yields success or a typed error with
+/// all four invariants held.
+#[test]
+fn single_fault_plans_degrade_cleanly() {
+    let draw = |rng: &mut StdRng| {
+        let shape = (
+            site(rng),
+            rng.random_range(0u64..6),
+            rng.random_range(1u64..4),
+        );
+        Some((shape, rng.next_u64()))
+    };
+    let name = "single_fault_plans_degrade_cleanly";
+    cases(name, 256, draw, |(shape, seed)| {
         let (i, skip, fail) = shape;
         let plan = FaultPlan::new(seed).fail_after(FaultSite::ALL[i], skip, fail);
         let r = chaos_round(plan);
-        prop_assert!(
+        assert!(
             r.is_ok(),
             "site {} skip {skip} fail {fail} seed {seed:#x}: {:?}",
             FaultSite::ALL[i],
             r.err()
         );
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Compound plans: two independent sites active at once, plus a
-    /// residual probability on a third. Same guarantee.
-    #[test]
-    fn compound_fault_plans_degrade_cleanly(
-        sites in (
-            0usize..FaultSite::ALL.len(),
-            0usize..FaultSite::ALL.len(),
-            0usize..FaultSite::ALL.len(),
-        ),
-        knobs in (0u64..4, 1u32..2048),
-        seed in any::<u64>(),
-    ) {
+/// Compound plans: two independent sites active at once, plus a
+/// residual probability on a third. Same guarantee.
+#[test]
+fn compound_fault_plans_degrade_cleanly() {
+    let draw = |rng: &mut StdRng| {
+        let sites = (site(rng), site(rng), site(rng));
+        let knobs = (rng.random_range(0u64..4), rng.random_range(1u32..2048));
+        Some((sites, knobs, rng.next_u64()))
+    };
+    let name = "compound_fault_plans_degrade_cleanly";
+    cases(name, 64, draw, |(sites, knobs, seed)| {
         let (a, b, c) = sites;
         let (skip, prob) = knobs;
         let plan = FaultPlan::new(seed)
@@ -388,13 +395,15 @@ proptest! {
             .fail(FaultSite::ALL[b], 1)
             .fail_with_probability(FaultSite::ALL[c], prob);
         let r = chaos_round(plan);
-        prop_assert!(
+        assert!(
             r.is_ok(),
             "sites {}/{}/{} seed {seed:#x}: {:?}",
-            FaultSite::ALL[a], FaultSite::ALL[b], FaultSite::ALL[c],
+            FaultSite::ALL[a],
+            FaultSite::ALL[b],
+            FaultSite::ALL[c],
             r.err()
         );
-    }
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -23,7 +23,9 @@
 //! cleanly. Together with the per-site round in `tests/chaos.rs`, the
 //! sweeps here cover 400+ distinct seeded plans.
 
-use proptest::prelude::*;
+use check::diff::{cases, coin};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 
 use dlm::reclaim;
 use dlm::server::{ClientEndpoint, Reply};
@@ -394,40 +396,57 @@ fn dlm_chaos_probabilistic_storms() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(112))]
+/// A random site of the catalog, and one round of either design.
+fn site(rng: &mut StdRng) -> usize {
+    rng.random_range(0..FaultSite::ALL.len())
+}
 
-    /// Randomized single-fault plans across both designs — 112 cases.
-    #[test]
-    fn dlm_chaos_any_single_fault(
-        site_idx in 0usize..FaultSite::ALL.len(),
-        skip in 0u64..48,
-        fail in 1u64..4,
-        seed in any::<u64>(),
-        onesided in any::<bool>(),
-    ) {
-        let plan = FaultPlan::new(seed).fail_after(FaultSite::ALL[site_idx], skip, fail);
-        let r = if onesided { onesided_round(plan) } else { server_round(plan) };
-        prop_assert!(r.is_ok(), "{}", r.err().unwrap_or_default());
-    }
+fn round(onesided: bool, plan: FaultPlan) -> Result<RoundOutcome, String> {
+    [server_round, onesided_round][onesided as usize](plan)
+}
 
-    /// Randomized compound plans: two independent sites armed at once —
-    /// 112 cases.
-    #[test]
-    fn dlm_chaos_compound_faults(
-        a in 0usize..FaultSite::ALL.len(),
-        b in 0usize..FaultSite::ALL.len(),
-        skip_a in 0u64..32,
-        skip_b in 0u64..32,
-        seed in any::<u64>(),
-        onesided in any::<bool>(),
-    ) {
+/// Randomized single-fault plans across both designs — 112 cases.
+#[test]
+fn dlm_chaos_any_single_fault() {
+    let draw = |rng: &mut StdRng| {
+        let (site_idx, skip, fail) = (
+            site(rng),
+            rng.random_range(0u64..48),
+            rng.random_range(1u64..4),
+        );
+        Some((site_idx, skip, fail, rng.next_u64(), coin(rng)))
+    };
+    let name = "dlm_chaos_any_single_fault";
+    cases(name, 112, draw, |(i, skip, fail, seed, onesided)| {
+        let r = round(
+            onesided,
+            FaultPlan::new(seed).fail_after(FaultSite::ALL[i], skip, fail),
+        );
+        assert!(r.is_ok(), "{}", r.err().unwrap_or_default());
+    });
+}
+
+/// Randomized compound plans: two independent sites armed at once —
+/// 112 cases.
+#[test]
+fn dlm_chaos_compound_faults() {
+    let draw = |rng: &mut StdRng| {
+        let (a, b, skip_a, skip_b) = (
+            site(rng),
+            site(rng),
+            rng.random_range(0u64..32),
+            rng.random_range(0u64..32),
+        );
+        Some((a, b, skip_a, skip_b, rng.next_u64(), coin(rng)))
+    };
+    let name = "dlm_chaos_compound_faults";
+    cases(name, 112, draw, |(a, b, skip_a, skip_b, seed, onesided)| {
         let plan = FaultPlan::new(seed)
             .fail_after(FaultSite::ALL[a], skip_a, 2)
             .fail_after(FaultSite::ALL[b], skip_b, 1);
-        let r = if onesided { onesided_round(plan) } else { server_round(plan) };
-        prop_assert!(r.is_ok(), "{}", r.err().unwrap_or_default());
-    }
+        let r = round(onesided, plan);
+        assert!(r.is_ok(), "{}", r.err().unwrap_or_default());
+    });
 }
 
 /// Determinism spot-check: the same plan and seed replay to the same

@@ -8,13 +8,51 @@
 //! * the message layer delivers random payloads intact across protocols;
 //! * the NIC's one DMA walker moves the bytes, and refuses the spans, that a
 //!   per-page reference does — for eager and on-demand registration alike.
+//!
+//! Each property runs on [`check::diff::cases`]: its inputs are drawn in
+//! declaration order from a generator seeded by the property's name, and a
+//! failure prints the case index and the inputs.
 
 #![allow(clippy::needless_range_loop)] // page/rank indices are semantic
 
-use proptest::prelude::*;
-
-use simmem::{prot, Capabilities, Kernel, KernelConfig, PAGE_SIZE};
+use check::diff::{cases, coin, vec_of};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
+use simmem::{prot, Capabilities, Kernel, KernelConfig, Pid, PAGE_SIZE};
 use vialock::{MemoryRegistry, StrategyKind};
+
+/// `pages` fresh read-write pages of `pid`, and the address of page `i`.
+fn map(k: &mut Kernel, pid: Pid, pages: usize) -> u64 {
+    k.mmap_anon(pid, pages * PAGE_SIZE, prot::READ | prot::WRITE)
+        .unwrap()
+}
+
+fn page(base: u64, i: usize) -> u64 {
+    base + (i * PAGE_SIZE) as u64
+}
+
+/// 128 frames and a large swap device: a hog soon puts it under pressure.
+fn pressured() -> Kernel {
+    let swap_slots = 4096;
+    let (nframes, reserved_frames) = (128, 8);
+    let (default_rlimit_memlock, swap_cache) = (None, false);
+    Kernel::new(KernelConfig {
+        nframes,
+        reserved_frames,
+        swap_slots,
+        default_rlimit_memlock,
+        swap_cache,
+    })
+}
+
+/// Touch `pages` pages of a fresh mapping of a fresh process.
+fn hog(k: &mut Kernel, pages: usize) {
+    let hog = k.spawn_process(Capabilities::default());
+    let hbuf = map(k, hog, pages);
+    for i in 0..pages {
+        let _ = k.write_user(hog, page(hbuf, i), &[1u8; 8]);
+    }
+}
 
 // ---------------------------------------------------------------------
 // VMA surgery
@@ -26,21 +64,31 @@ enum VmaOp {
     Unlock { page: u8, pages: u8 },
 }
 
-fn vma_op() -> impl Strategy<Value = VmaOp> {
-    prop_oneof![
-        (0u8..60, 1u8..8).prop_map(|(page, pages)| VmaOp::Lock { page, pages }),
-        (0u8..60, 1u8..8).prop_map(|(page, pages)| VmaOp::Unlock { page, pages }),
-    ]
+fn vma_op(rng: &mut StdRng) -> VmaOp {
+    let lock = rng.random_range(0..2usize) == 0;
+    let (page, pages) = (rng.random_range(0u8..60), rng.random_range(1u8..8));
+    match lock {
+        true => VmaOp::Lock { page, pages },
+        false => VmaOp::Unlock { page, pages },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `(page, pages, register?)` for the registry properties.
+fn reg_op(rng: &mut StdRng, pages: usize, len: usize) -> (usize, usize, bool) {
+    (
+        rng.random_range(0..pages),
+        rng.random_range(1..len),
+        coin(rng),
+    )
+}
 
-    #[test]
-    fn vma_invariants_under_random_mlock(ops in prop::collection::vec(vma_op(), 1..40)) {
+#[test]
+fn vma_invariants_under_random_mlock() {
+    let draw = |rng: &mut StdRng| Some(vec_of(rng, 1..40, vma_op));
+    cases("vma_invariants_under_random_mlock", 64, draw, |ops| {
         let mut k = Kernel::new(KernelConfig::small());
         let pid = k.spawn_process(Capabilities::root());
-        let base = k.mmap_anon(pid, 64 * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let base = map(&mut k, pid, 64);
         for op in ops {
             let (page, pages, lock) = match op {
                 VmaOp::Lock { page, pages } => (page, pages, true),
@@ -48,157 +96,157 @@ proptest! {
             };
             let addr = base + (page as u64) * PAGE_SIZE as u64;
             let len = (pages as usize).min(64 - page as usize) * PAGE_SIZE;
-            if len == 0 { continue; }
-            let r = if lock {
-                k.sys_mlock(pid, addr, len)
-            } else {
-                k.sys_munlock(pid, addr, len)
+            let r = match lock {
+                _ if len == 0 => continue,
+                true => k.sys_mlock(pid, addr, len),
+                false => k.sys_munlock(pid, addr, len),
             };
-            prop_assert!(r.is_ok(), "{:?}", r);
+            assert!(r.is_ok(), "{:?}", r);
             // The invariant the kernel would BUG() on:
             let proc_vmas = k.vma_count(pid).unwrap();
-            prop_assert!(proc_vmas <= 129, "unbounded VMA growth");
+            assert!(proc_vmas <= 129, "unbounded VMA growth");
         }
-    }
+    });
+}
 
-    #[test]
-    fn data_survives_random_pressure(
-        seeds in prop::collection::vec(0u8..255, 4..16),
-        hog_pages in 32usize..160,
-    ) {
-        let mut k = Kernel::new(KernelConfig {
-            nframes: 128,
-            reserved_frames: 8,
-            swap_slots: 4096,
-            default_rlimit_memlock: None,
-            swap_cache: false,
-        });
+#[test]
+fn data_survives_random_pressure() {
+    let draw = |rng: &mut StdRng| {
+        let seeds = vec_of(rng, 4..16, |rng| rng.random_range(0u8..255));
+        Some((seeds, rng.random_range(32usize..160)))
+    };
+    let name = "data_survives_random_pressure";
+    cases(name, 64, draw, |(seeds, hog_pages)| {
+        let mut k = pressured();
         let pid = k.spawn_process(Capabilities::default());
-        let n = seeds.len();
-        let buf = k.mmap_anon(pid, n * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let buf = map(&mut k, pid, seeds.len());
         for (i, &s) in seeds.iter().enumerate() {
-            k.write_user(pid, buf + (i * PAGE_SIZE) as u64, &[s; 64]).unwrap();
+            k.write_user(pid, page(buf, i), &[s; 64]).unwrap();
         }
         // Random pressure.
-        let hog = k.spawn_process(Capabilities::default());
-        let hbuf = k.mmap_anon(hog, hog_pages * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
-        for i in 0..hog_pages {
-            k.write_user(hog, hbuf + (i * PAGE_SIZE) as u64, &[1u8; 8]).unwrap();
-        }
+        hog(&mut k, hog_pages);
         // Every byte must come back — swapping is transparent to the CPU.
         for (i, &s) in seeds.iter().enumerate() {
             let mut out = [0u8; 64];
-            k.read_user(pid, buf + (i * PAGE_SIZE) as u64, &mut out).unwrap();
-            prop_assert!(out.iter().all(|&b| b == s), "page {i} corrupted");
+            k.read_user(pid, page(buf, i), &mut out).unwrap();
+            assert!(out.iter().all(|&b| b == s), "page {i} corrupted");
         }
-    }
+    });
+}
 
-    #[test]
-    fn registry_pin_counts_match_registrations(
-        ops in prop::collection::vec((0usize..8, 1usize..6, any::<bool>()), 1..30)
-    ) {
+#[test]
+fn registry_pin_counts_match_registrations() {
+    let draw = |rng: &mut StdRng| Some(vec_of(rng, 1..30, |rng| reg_op(rng, 8, 6)));
+    cases("registry_pin_counts_match_registrations", 64, draw, |ops| {
         let mut k = Kernel::new(KernelConfig::medium());
         let pid = k.spawn_process(Capabilities::default());
-        let base = k.mmap_anon(pid, 64 * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let base = map(&mut k, pid, 64);
         let mut reg = MemoryRegistry::new(StrategyKind::KiobufReliable);
         let mut live = Vec::new();
         for (page, pages, do_register) in ops {
             if do_register || live.is_empty() {
-                let addr = base + (page * PAGE_SIZE) as u64;
                 let len = pages.min(64 - page) * PAGE_SIZE;
-                if len == 0 { continue; }
-                let h = reg.register(&mut k, pid, addr, len).unwrap();
-                live.push(h);
+                if len > 0 {
+                    live.push(
+                        reg.register(&mut k, pid, self::page(base, page), len)
+                            .unwrap(),
+                    );
+                }
             } else {
                 let h = live.swap_remove(0);
                 reg.deregister(&mut k, h).unwrap();
             }
-            prop_assert!(reg.check_invariants(&k).is_ok());
+            assert!(reg.check_invariants(&k).is_ok());
         }
         for h in live {
             reg.deregister(&mut k, h).unwrap();
         }
-        prop_assert_eq!(reg.pinned_frames(), 0);
-        prop_assert!(reg.check_invariants(&k).is_ok());
-    }
+        assert_eq!(reg.pinned_frames(), 0);
+        assert!(reg.check_invariants(&k).is_ok());
+    });
+}
 
-    #[test]
-    fn frames_are_conserved(
-        npages in 1usize..32,
-        hog_pages in 16usize..128,
-    ) {
-        let mut k = Kernel::new(KernelConfig {
-            nframes: 128,
-            reserved_frames: 8,
-            swap_slots: 4096,
-            default_rlimit_memlock: None,
-            swap_cache: false,
-        });
+#[test]
+fn frames_are_conserved() {
+    let draw =
+        |rng: &mut StdRng| Some((rng.random_range(1usize..32), rng.random_range(16usize..128)));
+    cases("frames_are_conserved", 64, draw, |(npages, hog_pages)| {
+        let mut k = pressured();
         let pid = k.spawn_process(Capabilities::default());
-        let buf = k.mmap_anon(pid, npages * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let buf = map(&mut k, pid, npages);
         k.touch_pages(pid, buf, npages * PAGE_SIZE, true).unwrap();
         let mut reg = MemoryRegistry::new(StrategyKind::RefcountOnly);
         let h = reg.register(&mut k, pid, buf, npages * PAGE_SIZE).unwrap();
-
-        let hog = k.spawn_process(Capabilities::default());
-        let hbuf = k.mmap_anon(hog, hog_pages * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
-        for i in 0..hog_pages {
-            let _ = k.write_user(hog, hbuf + (i * PAGE_SIZE) as u64, &[1u8; 8]);
-        }
-
+        hog(&mut k, hog_pages);
         // Conservation: free + resident(+zero-page refs) + orphaned must
         // never exceed the machine, and orphaned frames equal the stealer's
         // counter.
-        prop_assert_eq!(k.count_orphaned_frames() as u64, k.mm_stats().orphaned_pages);
+        assert_eq!(
+            k.count_orphaned_frames() as u64,
+            k.mm_stats().orphaned_pages
+        );
         reg.deregister(&mut k, h).unwrap();
         // After dropping the pins, orphans become free again.
-        prop_assert_eq!(k.count_orphaned_frames(), 0);
-    }
+        assert_eq!(k.count_orphaned_frames(), 0);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn fork_chains_preserve_isolation(
-        writes in prop::collection::vec((0u8..8, any::<u8>()), 1..12),
-    ) {
+#[test]
+fn fork_chains_preserve_isolation() {
+    let write = |rng: &mut StdRng| (rng.random_range(0u8..8), rng.next_u64() as u8);
+    let draw = |rng: &mut StdRng| Some(vec_of(rng, 1..12, write));
+    cases("fork_chains_preserve_isolation", 48, draw, |writes| {
         // A parent and two generations of children: every write lands only
         // in the writer's view.
         let mut k = Kernel::new(KernelConfig::medium());
         let p0 = k.spawn_process(Capabilities::default());
-        let a = k.mmap_anon(p0, 8 * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let a = map(&mut k, p0, 8);
         k.write_user(p0, a, &[0u8; 8 * PAGE_SIZE]).unwrap();
         let p1 = k.fork(p0).unwrap();
         let p2 = k.fork(p1).unwrap();
         let procs = [p0, p1, p2];
         let mut shadow = [[0u8; 8]; 3];
-        for (i, (page, val)) in writes.into_iter().enumerate() {
+        for (i, (pg, val)) in writes.into_iter().enumerate() {
             let who = i % 3;
-            let addr = a + (page as u64) * PAGE_SIZE as u64;
-            k.write_user(procs[who], addr, &[val]).unwrap();
-            shadow[who][page as usize] = val;
+            k.write_user(procs[who], page(a, pg as usize), &[val])
+                .unwrap();
+            shadow[who][pg as usize] = val;
             // Every process must see exactly its shadow.
             for (j, &p) in procs.iter().enumerate() {
                 for pg in 0..8usize {
                     let mut out = [0u8; 1];
-                    k.read_user(p, a + (pg * PAGE_SIZE) as u64, &mut out).unwrap();
-                    prop_assert_eq!(out[0], shadow[j][pg], "proc {} page {}", j, pg);
+                    k.read_user(p, page(a, pg), &mut out).unwrap();
+                    assert_eq!(out[0], shadow[j][pg], "proc {} page {}", j, pg);
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn route_planner_never_beats_itself(
-        n_nodes in 2usize..6,
-        seed_links in prop::collection::vec((0usize..6, 0usize..6, 1u64..100_000, 0u32..100), 1..12),
-        msg in 1usize..100_000,
-    ) {
-        use netsim::routes::{plan_routes, Link, NetworkDescription};
-        let links: Vec<Link> = seed_links
-            .into_iter()
-            .filter(|&(a, b, _, _)| a < n_nodes && b < n_nodes && a != b)
+#[test]
+fn route_planner_never_beats_itself() {
+    use netsim::routes::{plan_routes, Link, NetworkDescription};
+    let linked = |n: usize, &(a, b, _, _): &(usize, usize, u64, u32)| a < n && b < n && a != b;
+    let draw = |rng: &mut StdRng| {
+        let n_nodes = rng.random_range(2usize..6);
+        let link = |rng: &mut StdRng| {
+            let (a, b) = (rng.random_range(0usize..6), rng.random_range(0usize..6));
+            (
+                a,
+                b,
+                rng.random_range(1u64..100_000),
+                rng.random_range(0u32..100),
+            )
+        };
+        let seed_links = vec_of(rng, 1..12, link);
+        let msg = rng.random_range(1usize..100_000);
+        // Reject a description with no usable link.
+        let usable = seed_links.iter().any(|l| linked(n_nodes, l));
+        usable.then_some((n_nodes, seed_links, msg))
+    };
+    let name = "route_planner_never_beats_itself";
+    cases(name, 48, draw, |(n_nodes, seed_links, msg)| {
+        let links: Vec<Link> = (seed_links.into_iter().filter(|l| linked(n_nodes, l)))
             .map(|(a, b, lat, bw)| Link {
                 a,
                 b,
@@ -207,47 +255,58 @@ proptest! {
                 per_byte_ns: bw as f64 / 10.0,
             })
             .collect();
-        prop_assume!(!links.is_empty());
-        let desc = NetworkDescription { n_nodes, links: links.clone(), forward_ns: Some(5_000) };
+        let desc = NetworkDescription {
+            n_nodes,
+            links: links.clone(),
+            forward_ns: Some(5_000),
+        };
         let rt = plan_routes(&desc, msg);
         for l in &links {
             // A planned route between directly linked nodes can never cost
             // more than that direct link.
             let direct = l.latency_ns + (msg as f64 * l.per_byte_ns).round() as u64;
             let r = rt.route(l.a, l.b).expect("linked nodes are reachable");
-            prop_assert!(r.cost_ns <= direct, "route {} > direct {}", r.cost_ns, direct);
+            assert!(
+                r.cost_ns <= direct,
+                "route {} > direct {}",
+                r.cost_ns,
+                direct
+            );
             // Costs are symmetric on an undirected description.
             let back = rt.route(l.b, l.a).expect("reachable");
-            prop_assert_eq!(r.cost_ns, back.cost_ns);
+            assert_eq!(r.cost_ns, back.cost_ns);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // Registration fast path: interval index + run-length mlock bookkeeping
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn find_covering_agrees_with_linear_oracle(
-        ops in prop::collection::vec((0usize..60, 1usize..8, any::<bool>()), 1..40),
-        queries in prop::collection::vec((0usize..63, 1usize..8), 1..16),
-    ) {
+#[test]
+fn find_covering_agrees_with_linear_oracle() {
+    let draw = |rng: &mut StdRng| {
+        let ops = vec_of(rng, 1..40, |rng| reg_op(rng, 60, 8));
+        let query = |rng: &mut StdRng| (rng.random_range(0usize..63), rng.random_range(1usize..8));
+        Some((ops, vec_of(rng, 1..16, query)))
+    };
+    let name = "find_covering_agrees_with_linear_oracle";
+    cases(name, 48, draw, |(ops, queries)| {
         let mut k = Kernel::new(KernelConfig::medium());
         let pid = k.spawn_process(Capabilities::default());
-        let base = k.mmap_anon(pid, 64 * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let base = map(&mut k, pid, 64);
         let mut reg = MemoryRegistry::new(StrategyKind::KiobufReliable);
         // Oracle: live spans as (handle, first page, page count).
         let mut live: Vec<(vialock::MemHandle, usize, usize)> = Vec::new();
-        for (page, pages, do_register) in ops {
+        for (pg, pages, do_register) in ops {
             if do_register || live.is_empty() {
-                let pages = pages.min(64 - page);
-                if pages == 0 { continue; }
-                let addr = base + (page * PAGE_SIZE) as u64;
-                let h = reg.register(&mut k, pid, addr, pages * PAGE_SIZE).unwrap();
-                live.push((h, page, pages));
+                let pages = pages.min(64 - pg);
+                if pages > 0 {
+                    let h = reg
+                        .register(&mut k, pid, page(base, pg), pages * PAGE_SIZE)
+                        .unwrap();
+                    live.push((h, pg, pages));
+                }
             } else {
                 let (h, _, _) = live.swap_remove(live.len() / 2);
                 reg.deregister(&mut k, h).unwrap();
@@ -255,53 +314,56 @@ proptest! {
         }
         for (qpage, qpages) in queries {
             let qpages = qpages.min(64 - qpage).max(1);
-            let addr = base + (qpage * PAGE_SIZE) as u64;
-            let got = reg.find_covering(pid, addr, qpages * PAGE_SIZE);
-            let covered = live
-                .iter()
-                .any(|&(_, p, n)| p <= qpage && p + n >= qpage + qpages);
-            prop_assert_eq!(got.is_some(), covered, "query page {} + {}", qpage, qpages);
+            let got = reg.find_covering(pid, page(base, qpage), qpages * PAGE_SIZE);
+            let covers = |&(_, p, n): &(_, usize, usize)| p <= qpage && p + n >= qpage + qpages;
+            let covered = live.iter().any(covers);
+            assert_eq!(got.is_some(), covered, "query page {} + {}", qpage, qpages);
             if let Some(h) = got {
                 // Whatever handle the index returned really covers the query.
-                let (_, p, n) = *live
+                let span = live
                     .iter()
-                    .find(|&&(lh, _, _)| lh == h)
+                    .find(|l| l.0 == h)
                     .expect("returned handle is live");
-                prop_assert!(p <= qpage && p + n >= qpage + qpages);
+                assert!(covers(span));
             }
         }
         for (h, _, _) in live {
             reg.deregister(&mut k, h).unwrap();
         }
-    }
+    });
+}
 
-    #[test]
-    fn mlock_run_length_counters_match_per_page_oracle(
-        ops in prop::collection::vec((0usize..60, 1usize..8, any::<bool>()), 1..40),
-    ) {
-        use std::collections::HashMap;
+#[test]
+fn mlock_run_length_counters_match_per_page_oracle() {
+    use std::collections::HashMap;
+    let draw = |rng: &mut StdRng| Some(vec_of(rng, 1..40, |rng| reg_op(rng, 60, 8)));
+    let name = "mlock_run_length_counters_match_per_page_oracle";
+    cases(name, 48, draw, |ops| {
         let mut k = Kernel::new(KernelConfig::medium());
         let pid = k.spawn_process(Capabilities::default());
-        let base = k.mmap_anon(pid, 64 * PAGE_SIZE, prot::READ | prot::WRITE).unwrap();
+        let base = map(&mut k, pid, 64);
         let base_vpn = base / PAGE_SIZE as u64;
         let mut reg = MemoryRegistry::new(StrategyKind::VmaMlock);
         let mut live: Vec<(vialock::MemHandle, usize, usize)> = Vec::new();
         // Oracle: one count per (virtual) page, the seed's representation.
         let mut oracle: HashMap<u64, u32> = HashMap::new();
-        for (page, pages, do_register) in ops {
+        for (pg, pages, do_register) in ops {
             if do_register || live.is_empty() {
-                let pages = pages.min(64 - page);
-                if pages == 0 { continue; }
-                let addr = base + (page * PAGE_SIZE) as u64;
-                let h = reg.register(&mut k, pid, addr, pages * PAGE_SIZE).unwrap();
-                for vpn in page..page + pages {
+                let pages = pages.min(64 - pg);
+                if pages == 0 {
+                    continue;
+                }
+                let h = reg
+                    .register(&mut k, pid, page(base, pg), pages * PAGE_SIZE)
+                    .unwrap();
+                for vpn in pg..pg + pages {
                     *oracle.entry(base_vpn + vpn as u64).or_insert(0) += 1;
                 }
-                live.push((h, page, pages));
+                live.push((h, pg, pages));
             } else {
-                let (h, page, pages) = live.swap_remove(live.len() / 2);
+                let (h, pg, pages) = live.swap_remove(live.len() / 2);
                 reg.deregister(&mut k, h).unwrap();
-                for vpn in page..page + pages {
+                for vpn in pg..pg + pages {
                     let c = oracle.get_mut(&(base_vpn + vpn as u64)).unwrap();
                     *c -= 1;
                     if *c == 0 {
@@ -311,24 +373,19 @@ proptest! {
             }
             // The run-length counters agree with the per-page oracle at
             // every page...
-            for vpn in 0..64u64 {
-                prop_assert_eq!(
-                    reg.mlock_count_at(pid, base_vpn + vpn),
-                    oracle.get(&(base_vpn + vpn)).copied().unwrap_or(0),
-                    "vpn {}", vpn
-                );
+            for vpn in base_vpn..base_vpn + 64 {
+                let want = oracle.get(&vpn).copied().unwrap_or(0);
+                assert_eq!(reg.mlock_count_at(pid, vpn), want, "vpn {}", vpn - base_vpn);
             }
             // ...and the kernel agrees exactly which pages are still locked.
-            prop_assert_eq!(
-                k.locked_bytes(pid).unwrap(),
-                oracle.len() as u64 * PAGE_SIZE as u64
-            );
+            let locked = oracle.len() as u64 * PAGE_SIZE as u64;
+            assert_eq!(k.locked_bytes(pid).unwrap(), locked);
         }
         for (h, _, _) in live {
             reg.deregister(&mut k, h).unwrap();
         }
-        prop_assert_eq!(k.locked_bytes(pid).unwrap(), 0);
-    }
+        assert_eq!(k.locked_bytes(pid).unwrap(), 0);
+    });
 }
 
 /// Acceptance check for the interval-indexed lookup: with well over a
@@ -380,21 +437,21 @@ fn covering_lookup_stays_flat_at_a_thousand_regions() {
 // Message-layer integrity
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn random_messages_arrive_intact(
-        lens in prop::collection::vec(1usize..60_000, 1..5),
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn random_messages_arrive_intact() {
+    let draw = |rng: &mut StdRng| {
+        let lens = vec_of(rng, 1..5, |rng| rng.random_range(1usize..60_000));
+        Some((lens, rng.next_u64()))
+    };
+    cases("random_messages_arrive_intact", 12, draw, |(lens, seed)| {
         let mut c = msg::Comm::new(
             2,
             2,
             KernelConfig::large(),
             StrategyKind::KiobufReliable,
             msg::MsgConfig::tiny(),
-        ).unwrap();
+        )
+        .unwrap();
         for (i, &len) in lens.iter().enumerate() {
             let data: Vec<u8> = (0..len)
                 .map(|j| ((j as u64).wrapping_mul(seed | 1).wrapping_add(i as u64) % 256) as u8)
@@ -405,12 +462,12 @@ proptest! {
             let h = c.send(0, 1, i as u32, sbuf, len).unwrap();
             let got = c.recv(1, 0, i as u32, rbuf, len).unwrap();
             c.wait(h).unwrap();
-            prop_assert_eq!(got, len);
+            assert_eq!(got, len);
             let mut out = vec![0u8; len];
             c.read_buffer(1, rbuf, &mut out).unwrap();
-            prop_assert_eq!(out, data);
+            assert_eq!(out, data);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -419,13 +476,18 @@ proptest! {
 
 mod dma_reference {
     use std::collections::VecDeque;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
-    use proptest::prelude::*;
+    use check::diff::{self, cases, coin, vec_of, Side};
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore};
     use simmem::{prot, KernelConfig, Pid, PAGE_SIZE};
     use via::descriptor::{DataSeg, RdmaSeg};
     use via::tpt::{Access, ProtectionTag};
     use via::vi::Reliability;
-    use via::{DescOp, DescStatus, Descriptor, ViId, ViaError, ViaSystem};
+    use via::DescOp::{self, RdmaRead, RdmaWrite, Recv, Send};
+    use via::DescStatus::{self, Done, Dropped, ProtectionError};
+    use via::{Descriptor, ViId, ViaError, ViaSystem};
     use vialock::StrategyKind;
 
     const PAGES: usize = 6;
@@ -444,39 +506,38 @@ mod dma_reference {
         Read(Vec<SegSpec>, SegSpec),
     }
 
-    fn seg() -> impl Strategy<Value = SegSpec> {
+    fn seg(rng: &mut StdRng) -> SegSpec {
+        let region = rng.random_range(0usize..2);
         // Start: a region's first byte, inside its first page (twice as
         // likely), its first half, anywhere, its last page and just past the
         // end, before the start.
-        let off = prop_oneof![
-            Just(SLACK),
-            SLACK..SLACK + PAGE_SIZE,
-            SLACK..SLACK + PAGE_SIZE,
-            SLACK..SLACK + AREA / 2,
-            SLACK..SLACK + AREA,
-            SLACK + AREA - PAGE_SIZE..SLACK + AREA + 32,
-            0..SLACK,
-        ];
+        let off = match rng.random_range(0..7usize) {
+            0 => SLACK,
+            1 | 2 => rng.random_range(SLACK..SLACK + PAGE_SIZE),
+            3 => rng.random_range(SLACK..SLACK + AREA / 2),
+            4 => rng.random_range(SLACK..SLACK + AREA),
+            5 => rng.random_range(SLACK + AREA - PAGE_SIZE..SLACK + AREA + 32),
+            _ => rng.random_range(0..SLACK),
+        };
         // Length: nothing, sub-page (twice as likely), around one page,
         // page-crossing.
-        let len = prop_oneof![
-            Just(0usize),
-            1usize..300,
-            1usize..300,
-            PAGE_SIZE - 8..PAGE_SIZE + 8,
-            1..2 * PAGE_SIZE,
-            1..3 * PAGE_SIZE,
-        ];
-        (0usize..2, off, len)
+        let len = match rng.random_range(0..6usize) {
+            0 => 0,
+            1 | 2 => rng.random_range(1usize..300),
+            3 => rng.random_range(PAGE_SIZE - 8..PAGE_SIZE + 8),
+            4 => rng.random_range(1..2 * PAGE_SIZE),
+            _ => rng.random_range(1..3 * PAGE_SIZE),
+        };
+        (region, off, len)
     }
 
-    fn op() -> impl Strategy<Value = Op> {
-        let segs = || prop::collection::vec(seg(), 1..4);
-        prop_oneof![
-            (segs(), segs()).prop_map(|(s, r)| Op::SendRecv(s, r)),
-            (segs(), seg()).prop_map(|(l, r)| Op::Write(l, r)),
-            (segs(), seg()).prop_map(|(l, r)| Op::Read(l, r)),
-        ]
+    fn op(rng: &mut StdRng) -> Op {
+        let segs = |rng: &mut StdRng| vec_of(rng, 1..4, seg);
+        match rng.random_range(0..3usize) {
+            0 => Op::SendRecv(segs(rng), segs(rng)),
+            1 => Op::Write(segs(rng), seg(rng)),
+            _ => Op::Read(segs(rng), seg(rng)),
+        }
     }
 
     /// What the per-page path decided about one span: walk it a page at a
@@ -510,48 +571,66 @@ mod dma_reference {
         segs.iter().map(|s| s.len).sum()
     }
 
-    fn desc(op: DescOp, segs: &[DataSeg], rdma: Option<&DataSeg>) -> Descriptor {
+    fn desc(op: DescOp, segs: &[DataSeg], rdma: Option<DataSeg>) -> Descriptor {
+        let rdma = rdma.map(|r| RdmaSeg {
+            remote_mem: r.mem,
+            remote_addr: r.addr,
+        });
+        let base = Descriptor::send(segs[0].mem, 0, 0);
         Descriptor {
             op,
             segs: segs.iter().copied().collect(),
-            rdma: rdma.map(|r| RdmaSeg {
-                remote_mem: r.mem,
-                remote_addr: r.addr,
-            }),
-            imm: None,
-            cas: None,
-            status: DescStatus::Pending,
-            done_len: 0,
+            rdma,
+            ..base
         }
     }
+
+    /// A step's outcome: the pump's error, then each node's completions.
+    type Out = (Option<ViaError>, [Vec<(DescOp, DescStatus, usize)>; 2]);
 
     /// Two connected nodes; on each, two 6-page areas whose pages were first
     /// touched in a scrambled order (so their frames fragment), one region
     /// registered over all of area 0 and one inset by a few bytes in area 1.
+    /// The walker's world posts, pumps and drains; the reference's world
+    /// only answers `translate`, and places the bytes it predicts with CPU
+    /// stores.
     struct World {
         sys: ViaSystem,
+        walker: Walker,
+        reference: bool,
         /// Per node: the process, its VI, the two areas' first bytes and
         /// the region registered in each.
         pid: Vec<Pid>,
         vi: Vec<ViId>,
         area: Vec<[u64; 2]>,
         region: Vec<[DataSeg; 2]>,
-        /// Receives posted on node 1 and reads parked on node 0, oldest
-        /// first: a refused send or read leaves its descriptor queued for
-        /// the next message.
+        /// The reference's receives posted on node 1 and reads parked on
+        /// node 0, oldest first: a refused send or read leaves its
+        /// descriptor queued for the next message.
         recv_q: VecDeque<Vec<DataSeg>>,
         parked: VecDeque<Vec<DataSeg>>,
+        /// A reliable connection does not survive a receive too small for
+        /// its message: every later step is skipped.
+        broken: bool,
     }
 
-    type Memory = [[Vec<u8>; 2]; 2];
+    /// The generated setup: strategy, reliability, frame scramble and the
+    /// RDMA enables of node 1's inset region.
+    #[derive(Debug, Clone, Copy)]
+    struct Walker {
+        on_demand: bool,
+        reliable: bool,
+        scramble: u64,
+        rdma: (bool, bool),
+    }
 
     impl World {
-        fn new(
-            strategy: StrategyKind,
-            reliable: bool,
-            mut scramble: u64,
-            rdma: (bool, bool),
-        ) -> World {
+        fn new(walker: Walker, reference: bool) -> World {
+            let strategy = match walker.on_demand {
+                true => StrategyKind::OnDemand,
+                false => StrategyKind::KiobufReliable,
+            };
+            let mut scramble = walker.scramble;
             let mut sys = ViaSystem::new(2, KernelConfig::small(), strategy);
             let (mut pid, mut vi, mut area, mut region) = (vec![], vec![], vec![], vec![]);
             for n in 0..2 {
@@ -575,7 +654,7 @@ mod dma_reference {
                 // generated enables.
                 let spans = [
                     (area[n][0], AREA, (true, true)),
-                    (area[n][1] + 40, AREA - 100, rdma),
+                    (area[n][1] + 40, AREA - 100, walker.rdma),
                 ];
                 region.push(spans.map(|(addr, len, (w, r))| {
                     let mem = sys
@@ -588,27 +667,33 @@ mod dma_reference {
                 pid.push(p);
             }
             sys.connect((0, vi[0]), (1, vi[1])).unwrap();
-            if !reliable {
+            if !walker.reliable {
                 for n in 0..2 {
                     sys.set_reliability(n, vi[n], Reliability::Unreliable)
                         .unwrap();
                 }
             }
+            let (recv_q, parked) = (VecDeque::new(), VecDeque::new());
+            let broken = false;
             World {
                 sys,
+                walker,
+                reference,
                 pid,
                 vi,
                 area,
                 region,
-                recv_q: VecDeque::new(),
-                parked: VecDeque::new(),
+                recv_q,
+                parked,
+                broken,
             }
         }
 
         fn seg(&self, n: usize, (r, off, len): SegSpec) -> DataSeg {
             let region = self.region[n][r];
+            let addr = region.addr + off as u64 - SLACK as u64;
             DataSeg {
-                addr: region.addr + off as u64 - SLACK as u64,
+                addr,
                 len,
                 ..region
             }
@@ -618,17 +703,28 @@ mod dma_reference {
             specs.iter().map(|&s| self.seg(n, s)).collect()
         }
 
-        /// Both areas of both nodes as the CPU sees them.
-        fn memory(&mut self) -> Memory {
-            [0, 1].map(|n| {
-                [0, 1].map(|a| {
-                    let mut out = vec![0u8; AREA];
-                    self.sys
-                        .read_user(n, self.pid[n], self.area[n][a], &mut out)
-                        .unwrap();
-                    out
-                })
-            })
+        /// The walker: post, pump, drain both CQs.
+        fn walk(&mut self, op: &Op) -> Out {
+            let (s, remote) = match op {
+                Op::SendRecv(send, recv) => {
+                    let r = desc(Recv, &self.segs(1, recv), None);
+                    self.sys.post_recv_desc(1, self.vi[1], r).unwrap();
+                    ((Send, send), None)
+                }
+                Op::Write(local, remote) => ((RdmaWrite, local), Some(self.seg(1, *remote))),
+                Op::Read(local, remote) => ((RdmaRead, local), Some(self.seg(1, *remote))),
+            };
+            let s = desc(s.0, &self.segs(0, s.1), remote);
+            self.sys.post_send_desc(0, self.vi[0], s).unwrap();
+            let err = self.sys.pump().err();
+            let cq = [0, 1].map(|n| {
+                let mut cq = Vec::new();
+                while let Some(c) = self.sys.poll_cq(n, self.vi[n]).unwrap() {
+                    cq.push((c.op, c.status, c.len));
+                }
+                cq
+            });
+            (err, cq)
         }
 
         /// The reference gather: the list's verdict, then its bytes in order.
@@ -643,12 +739,11 @@ mod dma_reference {
             Ok(out)
         }
 
-        /// The reference scatter into node `n`'s half of `mem`: the list is
-        /// cut off where `data` ends (only what arrived is placed), judged,
-        /// then written; returns the bytes placed.
+        /// The reference scatter into node `n`: the list is cut off where
+        /// `data` ends (only what arrived is placed), judged, then stored;
+        /// returns the bytes placed.
         fn land(
-            &self,
-            mem: &mut Memory,
+            &mut self,
             n: usize,
             segs: &[DataSeg],
             data: &[u8],
@@ -667,96 +762,134 @@ mod dma_reference {
             let mut at = 0;
             // An empty segment is valid wherever it points: skip it.
             for s in cut.iter().filter(|s| s.len > 0) {
-                let area = (s.mem == self.region[n][1].mem) as usize;
-                let off = (s.addr - self.area[n][area]) as usize;
-                mem[n][area][off..off + s.len].copy_from_slice(&data[at..at + s.len]);
+                let bytes = &data[at..at + s.len];
+                self.sys.write_user(n, self.pid[n], s.addr, bytes).unwrap();
                 at += s.len;
             }
             Ok(at)
         }
-    }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn dma_walker_agrees_with_the_per_page_reference(
-            setup in (any::<bool>(), any::<bool>(), any::<u64>(), (any::<bool>(), any::<bool>())),
-            ops in prop::collection::vec(op(), 1..7),
-        ) {
-            use DescOp::{RdmaRead, RdmaWrite, Recv, Send};
-            use DescStatus::{Done, Dropped, ProtectionError};
-            let (on_demand, reliable, scramble, rdma) = setup;
-            let strategy = if on_demand { StrategyKind::OnDemand } else { StrategyKind::KiobufReliable };
-            let mut w = World::new(strategy, reliable, scramble, rdma);
-            for op in &ops {
-                // Everything expected is worked out before the fabric moves.
-                let mut want = w.memory();
-                let mut want_cq: [Vec<(DescOp, DescStatus, usize)>; 2] = Default::default();
-                let mut want_err = None;
-                match op {
-                    Op::SendRecv(send, recv) => {
-                        let (s, r) = (w.segs(0, send), w.segs(1, recv));
-                        w.sys.post_recv_desc(1, w.vi[1], desc(Recv, &r, None)).unwrap();
-                        w.recv_q.push_back(r);
-                        w.sys.post_send_desc(0, w.vi[0], desc(Send, &s, None)).unwrap();
-                        if let Ok(data) = w.take(0, &s, Access::Local) {
-                            want_cq[0].push((Send, Done, data.len()));
-                            let r = w.recv_q.pop_front().unwrap();
-                            if reliable && total(&r) < data.len() {
-                                want_cq[1].push((Recv, Dropped, 0));
-                                want_err = Some(ViaError::RecvTooSmall { need: data.len(), have: total(&r) });
-                            } else {
-                                match w.land(&mut want, 1, &r, &data, Access::Local) {
-                                    Ok(n) => want_cq[1].push((Recv, Done, n)),
-                                    Err(e) => want_err = Some(e),
-                                }
-                            }
-                        } else {
-                            want_cq[0].push((Send, ProtectionError, 0));
-                        }
-                    }
-                    Op::Write(local, remote) => {
-                        let (s, t) = (w.segs(0, local), w.seg(1, *remote));
-                        w.sys.post_send_desc(0, w.vi[0], desc(RdmaWrite, &s, Some(&t))).unwrap();
-                        if let Ok(data) = w.take(0, &s, Access::Local) {
-                            want_cq[0].push((RdmaWrite, Done, data.len()));
-                            let t = [DataSeg { len: data.len(), ..t }];
-                            want_err = w.land(&mut want, 1, &t, &data, Access::RdmaWrite).err();
-                        } else {
-                            want_cq[0].push((RdmaWrite, ProtectionError, 0));
-                        }
-                    }
-                    Op::Read(local, remote) => {
-                        let (d, t) = (w.segs(0, local), w.seg(1, *remote));
-                        w.sys.post_send_desc(0, w.vi[0], desc(RdmaRead, &d, Some(&t))).unwrap();
-                        let t = [DataSeg { len: total(&d), ..t }];
-                        w.parked.push_back(d);
-                        // The answer lands in the oldest parked read.
-                        let landed = w.take(1, &t, Access::RdmaRead).and_then(|data| {
-                            let d = w.parked.pop_front().unwrap();
-                            w.land(&mut want, 0, &d, &data, Access::Local)
-                        });
-                        match landed {
-                            Ok(n) => want_cq[0].push((RdmaRead, Done, n)),
-                            Err(e) => want_err = Some(e),
+        /// The per-page reference: what the walker should complete, place
+        /// and report.
+        fn predict(&mut self, op: &Op) -> Out {
+            let (mut cq, mut err): ([Vec<_>; 2], _) = Default::default();
+            match op {
+                Op::SendRecv(send, recv) => {
+                    let (s, r) = (self.segs(0, send), self.segs(1, recv));
+                    self.recv_q.push_back(r);
+                    let Ok(data) = self.take(0, &s, Access::Local) else {
+                        cq[0].push((Send, ProtectionError, 0));
+                        return (err, cq);
+                    };
+                    cq[0].push((Send, Done, data.len()));
+                    let r = self.recv_q.pop_front().unwrap();
+                    if self.walker.reliable && total(&r) < data.len() {
+                        cq[1].push((Recv, Dropped, 0));
+                        let (need, have) = (data.len(), total(&r));
+                        err = Some(ViaError::RecvTooSmall { need, have });
+                    } else {
+                        match self.land(1, &r, &data, Access::Local) {
+                            Ok(n) => cq[1].push((Recv, Done, n)),
+                            Err(e) => err = Some(e),
                         }
                     }
                 }
-                prop_assert_eq!(w.sys.pump().err(), want_err.clone(), "{:?}", op);
-                for n in 0..2 {
-                    let mut cq = Vec::new();
-                    while let Some(c) = w.sys.poll_cq(n, w.vi[n]).unwrap() {
-                        cq.push((c.op, c.status, c.len));
-                    }
-                    prop_assert_eq!(&cq, &want_cq[n], "node {} after {:?}", n, op);
+                Op::Write(local, remote) => {
+                    let (s, t) = (self.segs(0, local), self.seg(1, *remote));
+                    let Ok(data) = self.take(0, &s, Access::Local) else {
+                        cq[0].push((RdmaWrite, ProtectionError, 0));
+                        return (err, cq);
+                    };
+                    cq[0].push((RdmaWrite, Done, data.len()));
+                    let t = [DataSeg {
+                        len: data.len(),
+                        ..t
+                    }];
+                    err = self.land(1, &t, &data, Access::RdmaWrite).err();
                 }
-                prop_assert!(w.memory() == want, "memory differs after {:?}", op);
-                if matches!(want_err, Some(ViaError::RecvTooSmall { .. })) {
-                    break; // a reliable connection does not survive that
+                Op::Read(local, remote) => {
+                    let (d, t) = (self.segs(0, local), self.seg(1, *remote));
+                    let t = [DataSeg {
+                        len: total(&d),
+                        ..t
+                    }];
+                    self.parked.push_back(d);
+                    // The answer lands in the oldest parked read.
+                    let landed = self.take(1, &t, Access::RdmaRead).and_then(|data| {
+                        let d = self.parked.pop_front().unwrap();
+                        self.land(0, &d, &data, Access::Local)
+                    });
+                    match landed {
+                        Ok(n) => cq[0].push((RdmaRead, Done, n)),
+                        Err(e) => err = Some(e),
+                    }
                 }
             }
-            prop_assert!(w.sys.check_invariants().is_ok(), "{:?}", w.sys.check_invariants());
+            (err, cq)
         }
+    }
+
+    impl Side<Op, Out, Vec<u64>> for World {
+        fn apply(&mut self, op: &Op) -> Out {
+            if self.broken {
+                return Default::default();
+            }
+            let out = if self.reference {
+                self.predict(op)
+            } else {
+                self.walk(op)
+            };
+            self.broken = matches!(out.0, Some(ViaError::RecvTooSmall { .. }));
+            out
+        }
+
+        /// Both areas of both nodes as the CPU sees them, a hash per page.
+        fn snapshot(&mut self) -> Result<Vec<u64>, String> {
+            self.sys.check_invariants()?;
+            let mut out = vec![0u8; AREA];
+            let mut pages = Vec::new();
+            for (n, a) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                self.sys
+                    .read_user(n, self.pid[n], self.area[n][a], &mut out)
+                    .unwrap();
+                pages.extend(out.chunks(PAGE_SIZE).map(|page| {
+                    let mut h = DefaultHasher::new();
+                    page.hash(&mut h);
+                    h.finish()
+                }));
+            }
+            Ok(pages)
+        }
+    }
+
+    impl diff::Twins for Walker {
+        type Op = Op;
+        type Out = Out;
+        type Snap = Vec<u64>;
+        type Left = World;
+        type Right = World;
+
+        fn build(&self) -> (World, World) {
+            (World::new(*self, false), World::new(*self, true))
+        }
+    }
+
+    #[test]
+    fn dma_walker_agrees_with_the_per_page_reference() {
+        let draw = |rng: &mut StdRng| {
+            let setup = (coin(rng), coin(rng), rng.next_u64(), (coin(rng), coin(rng)));
+            Some((setup, vec_of(rng, 1..7, op)))
+        };
+        let name = "dma_walker_agrees_with_the_per_page_reference";
+        cases(name, 256, draw, |(setup, ops)| {
+            let (on_demand, reliable, scramble, rdma) = setup;
+            let walker = Walker {
+                on_demand,
+                reliable,
+                scramble,
+                rdma,
+            };
+            diff::replay(&walker, &ops);
+        });
     }
 }

@@ -1,6 +1,6 @@
 //! The SPSC wire ring on its own: single-thread edge cases (wraparound,
 //! full, empty, close races), a two-thread producer/consumer stress run,
-//! and a property test that replays a random op sequence against a
+//! and a differential that replays a random op sequence against a
 //! `VecDeque` oracle. The threaded-cluster matrix exercises the ring
 //! in situ; these tests pin its contract down in isolation.
 
@@ -9,9 +9,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
-
-use via::spsc::{ring, Doorbell, PopError, PushError};
+use check::diff::{self, cases, vec_of, Side};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
+use via::spsc::{ring, Consumer, Doorbell, PopError, Producer, PushError};
 
 // ---------------------------------------------------------------------
 // Single-thread edge cases
@@ -233,7 +234,7 @@ fn stress_batched_publish_is_atomic_per_flush() {
 }
 
 // ---------------------------------------------------------------------
-// Property test against a VecDeque oracle
+// Differential against a VecDeque oracle
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -242,93 +243,138 @@ enum RingOp {
     PushDeferred(u16),
     Publish,
     Pop,
+    /// Drop the producer and drain the consumer; always the last op.
+    Close,
 }
 
-fn ring_op() -> impl Strategy<Value = RingOp> {
-    prop_oneof![
-        any::<u16>().prop_map(RingOp::Push),
-        any::<u16>().prop_map(RingOp::PushDeferred),
-        Just(RingOp::Publish),
-        Just(RingOp::Pop),
-    ]
+fn ring_op(rng: &mut StdRng) -> RingOp {
+    match rng.random_range(0..4usize) {
+        0 => RingOp::Push(rng.next_u64() as u16),
+        1 => RingOp::PushDeferred(rng.next_u64() as u16),
+        2 => RingOp::Publish,
+        _ => RingOp::Pop,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+#[derive(Debug, PartialEq)]
+enum Out {
+    Pushed(Result<(), u16>),
+    Published(usize),
+    Popped(Result<u16, PopError>),
+    /// What the consumer drains after the close, and how it ends.
+    Drained(Vec<u16>, PopError),
+}
 
-    /// Replay a random op sequence on the ring and on a VecDeque-based
-    /// model tracking published and deferred items separately. Every
-    /// push/pop outcome and every popped value must match the model.
-    #[test]
-    fn ring_matches_vecdeque_oracle(
-        ops in prop::collection::vec(ring_op(), 1..120),
-        cap_exp in 1u32..5,
-    ) {
-        let cap = 1usize << cap_exp;
-        let (mut p, mut c) = ring::<u16>(cap);
-        prop_assert_eq!(p.capacity(), cap);
-        let mut published: VecDeque<u16> = VecDeque::new();
-        let mut deferred: VecDeque<u16> = VecDeque::new();
-        for op in ops {
-            match op {
-                RingOp::Push(v) => {
-                    // push = push_deferred + publish, so the deferred
-                    // queue publishes alongside it.
-                    let full = published.len() + deferred.len() == cap;
-                    match p.push(v) {
-                        Ok(()) => {
-                            prop_assert!(!full, "push succeeded on a full ring");
-                            published.append(&mut deferred);
-                            published.push_back(v);
-                        }
-                        Err(PushError::Full(got)) => {
-                            prop_assert!(full, "push refused with space left");
-                            prop_assert_eq!(got, v);
-                        }
-                        Err(PushError::Closed(_)) => prop_assert!(false, "nothing closed"),
-                    }
-                }
-                RingOp::PushDeferred(v) => {
-                    let full = published.len() + deferred.len() == cap;
-                    match p.push_deferred(v) {
-                        Ok(()) => {
-                            prop_assert!(!full, "deferred push succeeded on a full ring");
-                            deferred.push_back(v);
-                        }
-                        Err(PushError::Full(got)) => {
-                            prop_assert!(full, "deferred push refused with space left");
-                            prop_assert_eq!(got, v);
-                        }
-                        Err(PushError::Closed(_)) => prop_assert!(false, "nothing closed"),
-                    }
-                }
-                RingOp::Publish => {
-                    let expected = deferred.len();
-                    prop_assert_eq!(p.publish(), expected);
-                    published.append(&mut deferred);
-                }
-                RingOp::Pop => {
-                    match c.pop() {
-                        Ok(v) => {
-                            let want = published.pop_front();
-                            prop_assert_eq!(Some(v), want, "popped wrong value");
-                        }
-                        Err(PopError::Empty) => {
-                            prop_assert!(published.is_empty(), "Empty with items published");
-                        }
-                        Err(PopError::Closed) => prop_assert!(false, "nothing closed"),
+/// The ring under test, and its capacity.
+struct Ring(Option<Producer<u16>>, Consumer<u16>, usize);
+
+impl Side<RingOp, Out, (usize, usize)> for Ring {
+    fn apply(&mut self, op: &RingOp) -> Out {
+        let p = self.0.as_mut();
+        let refused = |e| match e {
+            PushError::Full(v) => v,
+            PushError::Closed(_) => panic!("nothing closed"),
+        };
+        match *op {
+            RingOp::Push(v) => Out::Pushed(p.unwrap().push(v).map_err(refused)),
+            RingOp::PushDeferred(v) => Out::Pushed(p.unwrap().push_deferred(v).map_err(refused)),
+            RingOp::Publish => Out::Published(p.unwrap().publish()),
+            RingOp::Pop => Out::Popped(self.1.pop()),
+            RingOp::Close => {
+                drop(self.0.take());
+                let mut out = Vec::new();
+                loop {
+                    match self.1.pop() {
+                        Ok(v) => out.push(v),
+                        Err(e) => return Out::Drained(out, e),
                     }
                 }
             }
-            prop_assert_eq!(c.len(), published.len(), "occupancy diverged from model");
         }
-        // Close and drain: the consumer sees exactly the published
-        // prefix plus the final deferred batch (close publishes it).
-        published.append(&mut deferred);
-        drop(p);
-        for want in published {
-            prop_assert_eq!(c.pop().ok(), Some(want));
-        }
-        prop_assert!(matches!(c.pop(), Err(PopError::Closed)));
     }
+
+    fn snapshot(&mut self) -> Result<(usize, usize), String> {
+        Ok((self.2, self.1.len()))
+    }
+}
+
+/// A VecDeque-based model tracking published and deferred items
+/// separately.
+struct Oracle {
+    cap: usize,
+    published: VecDeque<u16>,
+    deferred: VecDeque<u16>,
+}
+
+impl Side<RingOp, Out, (usize, usize)> for Oracle {
+    fn apply(&mut self, op: &RingOp) -> Out {
+        let full = self.published.len() + self.deferred.len() == self.cap;
+        match *op {
+            RingOp::Push(v) | RingOp::PushDeferred(v) if full => Out::Pushed(Err(v)),
+            RingOp::Push(v) => {
+                // push = push_deferred + publish, so the deferred queue
+                // publishes alongside it.
+                self.published.append(&mut self.deferred);
+                self.published.push_back(v);
+                Out::Pushed(Ok(()))
+            }
+            RingOp::PushDeferred(v) => {
+                self.deferred.push_back(v);
+                Out::Pushed(Ok(()))
+            }
+            RingOp::Publish => {
+                let n = self.deferred.len();
+                self.published.append(&mut self.deferred);
+                Out::Published(n)
+            }
+            RingOp::Pop => Out::Popped(self.published.pop_front().ok_or(PopError::Empty)),
+            RingOp::Close => {
+                // The consumer sees exactly the published prefix plus the
+                // final deferred batch (close publishes it).
+                self.published.append(&mut self.deferred);
+                Out::Drained(self.published.drain(..).collect(), PopError::Closed)
+            }
+        }
+    }
+
+    fn snapshot(&mut self) -> Result<(usize, usize), String> {
+        Ok((self.cap, self.published.len()))
+    }
+}
+
+#[derive(Debug)]
+struct Twins {
+    cap: usize,
+}
+
+impl diff::Twins for Twins {
+    type Op = RingOp;
+    type Out = Out;
+    type Snap = (usize, usize);
+    type Left = Ring;
+    type Right = Oracle;
+
+    fn build(&self) -> (Ring, Oracle) {
+        let (p, c) = ring::<u16>(self.cap);
+        let cap = p.capacity();
+        let oracle = Oracle {
+            cap: self.cap,
+            published: VecDeque::new(),
+            deferred: VecDeque::new(),
+        };
+        (Ring(Some(p), c, cap), oracle)
+    }
+}
+
+/// Replay a random op sequence, then a close, on the ring and on the
+/// oracle: every push/pop outcome, every popped value and the occupancy
+/// after every step must match.
+#[test]
+fn ring_matches_vecdeque_oracle() {
+    let draw = |rng: &mut StdRng| Some((vec_of(rng, 1..120, ring_op), rng.random_range(1u32..5)));
+    let name = "ring_matches_vecdeque_oracle";
+    cases(name, 128, draw, |(mut ops, cap_exp)| {
+        ops.push(RingOp::Close);
+        diff::replay(&Twins { cap: 1 << cap_exp }, &ops);
+    });
 }
