@@ -9,10 +9,10 @@
 //!   an allowlisted stats-counter module.
 //! * **R3 `datapath-no-panic`** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in the datapath modules
-//!   (`spsc.rs`, `nic.rs`, `ring.rs`, `tpt.rs`, and the page stealer and
-//!   swap device they reach through an on-demand repin: `reclaim.rs`,
-//!   `swap.rs`) outside `#[cfg(test)]` regions. A NIC fault must surface as
-//!   a typed completion error, never a process abort.
+//!   (`spsc.rs`, `nic.rs`, `tpt.rs`, and the page stealer and swap device
+//!   they reach through an on-demand repin: `reclaim.rs`, `swap.rs`)
+//!   outside `#[cfg(test)]` regions. A NIC fault must surface as a typed
+//!   completion error, never a process abort.
 //! * **R4 `completion-choke-point`** — in `crates/via/src`, completions are
 //!   pushed onto a CQ (`cq.push…`) only inside `fn push_completion`: the
 //!   single choke point where CQ-overflow policy and doorbells live.
@@ -32,7 +32,6 @@ const RELAXED_ALLOWLIST: &[&str] = &["crates/simmem/src/stats.rs"];
 const DATAPATH: &[&str] = &[
     "crates/via/src/spsc.rs",
     "crates/via/src/nic.rs",
-    "crates/via/src/ring.rs",
     // The translation core runs on every descriptor, with addresses and
     // lengths a peer chose.
     "crates/via/src/tpt.rs",

@@ -39,8 +39,6 @@ pub enum FaultSite {
     PressureUnpin,
     /// The translation-and-protection table has no room for the region.
     TptFull,
-    /// The descriptor-ring doorbell is over capacity.
-    DoorbellOverflow,
     /// The completion queue is full; a completion cannot be delivered.
     CqOverrun,
     /// The wire drops a packet.
@@ -56,14 +54,13 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in catalog order — the chaos harness sweeps this.
-    pub const ALL: [FaultSite; 12] = [
+    pub const ALL: [FaultSite; 11] = [
         FaultSite::FrameAlloc,
         FaultSite::SwapFull,
         FaultSite::SwapIo,
         FaultSite::PageLock,
         FaultSite::PressureUnpin,
         FaultSite::TptFull,
-        FaultSite::DoorbellOverflow,
         FaultSite::CqOverrun,
         FaultSite::WireDrop,
         FaultSite::WireDuplicate,
@@ -80,7 +77,8 @@ impl FaultSite {
             FaultSite::PageLock => inject::PAGE_LOCK,
             FaultSite::PressureUnpin => inject::PRESSURE_UNPIN,
             FaultSite::TptFull => inject::UPPER_BASE,
-            FaultSite::DoorbellOverflow => inject::UPPER_BASE + 1,
+            // A site's SplitMix64 stream is seeded from its code, so codes
+            // are never renumbered or reused; `UPPER_BASE + 1` is retired.
             FaultSite::CqOverrun => inject::UPPER_BASE + 2,
             FaultSite::WireDrop => inject::UPPER_BASE + 3,
             FaultSite::WireDuplicate => inject::UPPER_BASE + 4,
@@ -103,7 +101,6 @@ impl FaultSite {
             FaultSite::PageLock => "page-lock",
             FaultSite::PressureUnpin => "pressure-unpin",
             FaultSite::TptFull => "tpt-full",
-            FaultSite::DoorbellOverflow => "doorbell-overflow",
             FaultSite::CqOverrun => "cq-overrun",
             FaultSite::WireDrop => "wire-drop",
             FaultSite::WireDuplicate => "wire-duplicate",
@@ -120,12 +117,11 @@ impl FaultSite {
             FaultSite::PageLock => 3,
             FaultSite::PressureUnpin => 4,
             FaultSite::TptFull => 5,
-            FaultSite::DoorbellOverflow => 6,
-            FaultSite::CqOverrun => 7,
-            FaultSite::WireDrop => 8,
-            FaultSite::WireDuplicate => 9,
-            FaultSite::WireDelay => 10,
-            FaultSite::LazyPin => 11,
+            FaultSite::CqOverrun => 6,
+            FaultSite::WireDrop => 7,
+            FaultSite::WireDuplicate => 8,
+            FaultSite::WireDelay => 9,
+            FaultSite::LazyPin => 10,
         }
     }
 }
@@ -162,9 +158,13 @@ struct SiteState {
 
 /// A seeded, deterministic fault plan: per-site rules plus counters.
 ///
-/// Share one plan across a whole `ViaSystem` (every node's kernel hook
-/// holds a clone of the same [`FaultHandle`]) so the wire, the NIC, and
-/// the kernel all consume one consultation sequence.
+/// On a `ViaSystem`, one plan may be shared across the whole fabric (every
+/// node's kernel hook holds a clone of the same [`FaultHandle`]): the
+/// fabric runs on one thread, so the wire, the NIC and the kernel consume
+/// one consultation sequence. On a `ThreadedCluster` the service threads
+/// race each other to a shared plan and the sequence is whatever the
+/// scheduler made it; install one plan per node there, as `fabric_diff`'s
+/// rule 1 does.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,

@@ -74,28 +74,6 @@ impl PinTable {
         Ok(())
     }
 
-    /// Pin a whole frame list transactionally: on failure everything pinned
-    /// so far is rolled back.
-    pub fn pin_all(&mut self, kernel: &mut Kernel, frames: &[FrameId]) -> RegResult<()> {
-        for (i, &f) in frames.iter().enumerate() {
-            if let Err(e) = self.pin(kernel, f) {
-                for &g in &frames[..i] {
-                    self.unpin(kernel, g).expect("rollback of fresh pin");
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Unpin a whole frame list.
-    pub fn unpin_all(&mut self, kernel: &mut Kernel, frames: &[FrameId]) -> RegResult<()> {
-        for &f in frames {
-            self.unpin(kernel, f)?;
-        }
-        Ok(())
-    }
-
     /// The proposal's batched registration path: per page, fault in and
     /// take a reference, then immediately take the page lock through the
     /// table — **before** the next page's fault can trigger reclaim. (Under
@@ -243,26 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_all_rolls_back_on_failure() {
-        let (mut k, _, _, frames) = setup();
-        let mut pt = PinTable::new();
-        k.begin_page_io(frames[2]);
-        assert_eq!(pt.pin_all(&mut k, &frames), Err(RegError::WouldBlock));
-        for &f in &[frames[0], frames[1], frames[3]] {
-            assert!(
-                !k.page_descriptor(f).flags().contains(PageFlags::LOCKED),
-                "rollback cleared partial pins"
-            );
-            assert_eq!(pt.count(f), 0);
-        }
-        k.end_page_io(frames[2]);
-        pt.pin_all(&mut k, &frames).unwrap();
-        assert_eq!(pt.pinned_frames(), 4);
-        pt.unpin_all(&mut k, &frames).unwrap();
-        assert_eq!(pt.pinned_frames(), 0);
-    }
-
-    #[test]
     fn pin_user_range_pins_and_rolls_back() {
         let (mut k, pid, a, frames) = setup();
         let mut pt = PinTable::new();
@@ -275,6 +233,13 @@ mod tests {
             Err(RegError::WouldBlock)
         );
         assert_eq!(pt.pinned_frames(), 0);
+        for &f in &[frames[0], frames[1], frames[3]] {
+            assert!(
+                !k.page_descriptor(f).flags().contains(PageFlags::LOCKED),
+                "rollback cleared partial pins"
+            );
+            assert_eq!(pt.count(f), 0);
+        }
         assert_eq!(
             k.page_descriptor(frames[0]).count(),
             count0,

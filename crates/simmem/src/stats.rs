@@ -62,9 +62,6 @@ pub struct MmStats {
     /// Faults forced by the pluggable injector (see [`crate::inject`]),
     /// counted across all sites including the ones upper layers register.
     pub faults_injected: u64,
-    /// Abstract time callers spent in retry backoff after transient
-    /// failures (each retry doubles the wait; nothing actually sleeps).
-    pub backoff_ticks: u64,
     /// Protection-trap pins: lazy pins taken by `lazy_pin_page` when an
     /// on-demand registration's page was faulted in on first NIC access.
     pub protection_faults: u64,
@@ -95,7 +92,6 @@ impl_since!(MmStats {
     swap_cache_adds,
     swap_cache_hits,
     faults_injected,
-    backoff_ticks,
     protection_faults,
     repins,
     pressure_unpins,
@@ -165,7 +161,6 @@ mm_counters!(
     swap_cache_adds,
     swap_cache_hits,
     faults_injected,
-    backoff_ticks,
     protection_faults,
     repins,
     pressure_unpins,
@@ -199,10 +194,10 @@ mod tests {
         let c = MmCounters::default();
         c.swap_outs.bump();
         c.swap_outs.bump();
-        c.backoff_ticks.add(8);
+        c.skipped_vm_locked.add(8);
         let s = c.snapshot();
         assert_eq!(s.swap_outs, 2);
-        assert_eq!(s.backoff_ticks, 8);
+        assert_eq!(s.skipped_vm_locked, 8);
         assert_eq!(s.minor_faults, 0);
         assert_eq!(c.swap_outs.get(), 2);
     }

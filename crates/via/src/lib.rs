@@ -60,7 +60,6 @@ pub mod descriptor;
 pub mod error;
 pub mod fabric;
 pub mod nic;
-pub mod ring;
 pub mod spsc;
 pub mod system;
 pub mod threaded;

@@ -4,10 +4,9 @@
 //! Each seed draws a script from `fabric_surface`'s vocabulary — processes,
 //! mappings, CPU stores and loads, registrations, VIs, reliability levels,
 //! connects, batches of send / recv / RDMA-write / RDMA-read / CAS posts,
-//! process exit — plus a receive posted through a native descriptor ring
-//! (the one path that consults `DoorbellOverflow`), and one `FaultPlan` per
-//! node drawn from the whole `vialock::fault` catalog. The script runs step
-//! by step on a [`ViaSystem`] and on a [`ThreadedCluster`] of the same size.
+//! process exit — and one `FaultPlan` per node drawn from the whole
+//! `vialock::fault` catalog. The script runs step by step on a
+//! [`ViaSystem`] and on a [`ThreadedCluster`] of the same size.
 //! After every step both are quiesced — `pump` until it reports no error
 //! (a pump that stops at a collection error leaves the rest to the next),
 //! then `check_invariants`, which on the cluster settles every service
@@ -51,7 +50,6 @@ use check::diff::{self, Side};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simmem::{prot, KernelConfig, Pid, VirtAddr, PAGE_SIZE};
-use via::ring::DescriptorRing;
 use via::tpt::{MemId, ProtectionTag};
 use via::vi::Reliability::{self, Reliable, Unreliable};
 use via::vi::ViId;
@@ -87,17 +85,6 @@ enum Op {
     /// `(vi, descriptor, immediate data, send queue?)`, posted by one
     /// closure.
     Batch(usize, Vec<(ViId, Post, u32, bool)>),
-    /// Post a receive into `recv` `(mem, addr, len)` through a two-slot
-    /// ring at `(ring_mem, ring_at)` and let the NIC fetch it into `vi`'s
-    /// receive queue.
-    RingRecv {
-        node: usize,
-        pid: Pid,
-        vi: ViId,
-        ring_mem: MemId,
-        ring_at: VirtAddr,
-        recv: (MemId, VirtAddr, usize),
-    },
     Exit(usize, Pid),
 }
 
@@ -183,26 +170,6 @@ fn apply<F: Fabric>(fab: &mut F, op: &Op) -> (String, Option<Made>) {
             });
             (format!("{r:?}"), None)
         }
-        Op::RingRecv {
-            node,
-            pid,
-            vi,
-            ring_mem,
-            ring_at,
-            recv,
-        } => line(
-            fab.try_with_node(node, move |node| -> ViaResult<usize> {
-                let mut ring = DescriptorRing::new(ring_mem, ring_at, 2);
-                ring.post(
-                    &mut node.kernel,
-                    pid,
-                    &Descriptor::recv(recv.0, recv.1, recv.2),
-                )?;
-                node.prefetch_ring_recvs(vi, &mut ring)
-            })
-            .and_then(|r| r),
-            nothing,
-        ),
         Op::Exit(n, pid) => line(fab.exit_process(n, pid), nothing),
     }
 }
@@ -352,7 +319,7 @@ fn draw_plan(rng: &mut StdRng) -> FaultPlan {
     for site in FaultSite::ALL {
         // Frame allocation and completions are consulted on almost every
         // operation: keep their odds low or nothing gets done. The sites
-        // behind swapping, lazy pinning and rings are consulted rarely:
+        // behind swapping and lazy pinning are consulted rarely:
         // give them high odds and short skips, or they never fire.
         let (cap, skip) = match site {
             FaultSite::FrameAlloc | FaultSite::CqOverrun => (1200u32, 40u64),
@@ -485,9 +452,6 @@ impl Model {
                 None => Op::CreateVi(n, pid, TAG),
             },
             55..=63 => self.draw_connect(rng, n, pid),
-            64..=68 => self
-                .draw_ring_recv(rng, n)
-                .unwrap_or(Op::Touch(n, pid, map.addr, span, true)),
             69..=70 if step > STEPS / 2 => Op::Exit(n, pid),
             _ => self
                 .draw_batch(rng, n)
@@ -621,31 +585,6 @@ impl Model {
             posts.push((v.vi, post, imm, true));
         }
         (!posts.is_empty()).then_some(Op::Batch(n, posts))
-    }
-
-    /// A receive for one of `n`'s VIs, posted through a ring laid in one
-    /// of its own registrations.
-    fn draw_ring_recv(&self, rng: &mut StdRng, n: usize) -> Option<Op> {
-        let vis: Vec<Vi> = self
-            .vis
-            .iter()
-            .filter(|v| v.node == n && !v.dead)
-            .copied()
-            .collect();
-        let v = *pick(rng, &vis)?;
-        let ring = self.reg_of(rng, n, v.pid, v.tag)?;
-        let buf = self.reg_of(rng, n, v.pid, v.tag)?;
-        if ring.len < DescriptorRing::bytes(2) {
-            return None;
-        }
-        Some(Op::RingRecv {
-            node: n,
-            pid: v.pid,
-            vi: v.vi,
-            ring_mem: ring.mem,
-            ring_at: ring.addr,
-            recv: (buf.mem, buf.addr, buf.len),
-        })
     }
 
     /// Fold an agreed result into the picture.

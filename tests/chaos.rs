@@ -141,7 +141,7 @@ fn workload<F: Fabric>(
 // ---------------------------------------------------------------------
 
 /// Every site, hit positions 0..4, one and three failures per activation:
-/// 96 fixed-seed rounds. Each must end with success or a typed error and
+/// 88 fixed-seed rounds. Each must end with success or a typed error and
 /// all four invariants intact.
 #[test]
 fn chaos_smoke_every_site_every_position() {
@@ -321,7 +321,7 @@ fn reclaim_exit(
 }
 
 /// Every fault site, two hit positions, during DLM traffic with a
-/// mid-round holder exit: 20 fixed-seed plans. Most hits are *absorbed*
+/// mid-round holder exit: 22 fixed-seed plans. Most hits are *absorbed*
 /// by the lock layer (backpressure, retries, lease recovery) rather
 /// than surfaced — the meaningful assertion is that the plans actually
 /// fired while every invariant held, not that errors reached the top.

@@ -325,7 +325,7 @@ fn onesided_round(plan: FaultPlan) -> Result<RoundOutcome, String> {
 }
 
 /// Deterministic per-site sweep, server design: every fault site, four
-/// skip offsets, two burst lengths — 80 seeded plans.
+/// skip offsets, two burst lengths — 88 seeded plans.
 #[test]
 fn dlm_chaos_server_sweep() {
     let mut fired_total = 0u64;
@@ -353,7 +353,7 @@ fn dlm_chaos_server_sweep() {
     );
 }
 
-/// Deterministic per-site sweep, one-sided design — 80 seeded plans.
+/// Deterministic per-site sweep, one-sided design — 88 seeded plans.
 #[test]
 fn dlm_chaos_onesided_sweep() {
     let mut fired_total = 0u64;
@@ -372,7 +372,7 @@ fn dlm_chaos_onesided_sweep() {
 }
 
 /// Probabilistic storms: instead of a one-shot burst, every consultation
-/// of the site can fail — 2 rates x 10 sites x both designs, 40 plans.
+/// of the site can fail — 2 rates x 11 sites x both designs, 44 plans.
 #[test]
 fn dlm_chaos_probabilistic_storms() {
     let mut typed = 0u32;
