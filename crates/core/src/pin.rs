@@ -14,7 +14,7 @@
 //! small and dense in the simulated kernel (as `struct page` indices are in
 //! the real one), so a pin/unpin is an array access, not a hash probe.
 
-use simmem::{page::PageFlags, FrameId, Kernel, Pid, VirtAddr, PAGE_SIZE};
+use simmem::{page::PageFlags, FrameId, Kernel, PageHold, Pid, VirtAddr};
 
 use crate::error::{RegError, RegResult};
 
@@ -74,12 +74,13 @@ impl PinTable {
         Ok(())
     }
 
-    /// The proposal's batched registration path: per page, fault in and
-    /// take a reference, then immediately take the page lock through the
-    /// table — **before** the next page's fault can trigger reclaim. (Under
-    /// the substrate's 2.2 eviction semantics a referenced-but-unlocked
-    /// page can still be orphaned, so the lock must not wait for a second
-    /// pass over the range.) On any failure everything acquired so far —
+    /// The proposal's batched registration path: fault each page in, take
+    /// a reference and take the page lock through the table **before** the
+    /// next page's fault can trigger reclaim — the walk of
+    /// [`Kernel::walk_user_range`] with this table as its hold. (Under the
+    /// substrate's 2.2 eviction semantics a referenced-but-unlocked page
+    /// can still be orphaned, so the lock must not wait for a second pass
+    /// over the range.) On any failure everything acquired so far —
     /// references and pins — is rolled back.
     pub fn pin_user_range(
         &mut self,
@@ -88,27 +89,7 @@ impl PinTable {
         addr: VirtAddr,
         len: usize,
     ) -> RegResult<Vec<FrameId>> {
-        let start = simmem::page_base(addr);
-        let end = simmem::page_align_up(addr + len as u64);
-        let mut frames = Vec::with_capacity(((end - start) as usize) / PAGE_SIZE);
-        let mut a = start;
-        while a < end {
-            let f = match kernel.get_user_page(pid, a) {
-                Ok(f) => f,
-                Err(e) => {
-                    self.rollback(kernel, &frames);
-                    return Err(e.into());
-                }
-            };
-            if let Err(e) = self.pin(kernel, f) {
-                kernel.put_user_page(f);
-                self.rollback(kernel, &frames);
-                return Err(e);
-            }
-            frames.push(f);
-            a += PAGE_SIZE as u64;
-        }
-        Ok(frames)
+        kernel.walk_user_range(pid, addr, len, self)
     }
 
     /// Undo a [`PinTable::pin_user_range`]: unpin and drop the page
@@ -119,13 +100,6 @@ impl PinTable {
             kernel.put_user_page(f);
         }
         Ok(())
-    }
-
-    fn rollback(&mut self, kernel: &mut Kernel, frames: &[FrameId]) {
-        for &g in frames {
-            self.unpin(kernel, g).expect("rollback of fresh pin");
-            kernel.put_user_page(g);
-        }
     }
 
     /// Current pin count of a frame (0 if not pinned).
@@ -166,10 +140,27 @@ impl PinTable {
     }
 }
 
+/// A pin is the walk's hold on a page: the pin, then the page reference,
+/// so a refused pin leaves the page as it was.
+impl PageHold for PinTable {
+    type Error = RegError;
+
+    fn take(&mut self, kernel: &mut Kernel, frame: FrameId) -> RegResult<()> {
+        self.pin(kernel, frame)?;
+        kernel.raw_get_page(frame);
+        Ok(())
+    }
+
+    fn give_back(&mut self, kernel: &mut Kernel, frame: FrameId) {
+        self.unpin(kernel, frame).expect("rollback of fresh pin");
+        kernel.put_user_page(frame);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmem::{prot, Capabilities, KernelConfig};
+    use simmem::{prot, Capabilities, KernelConfig, PAGE_SIZE};
 
     fn setup() -> (Kernel, Pid, VirtAddr, Vec<FrameId>) {
         let mut k = Kernel::new(KernelConfig::small());

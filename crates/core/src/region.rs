@@ -223,9 +223,7 @@ mod tests {
             PAGE_SIZE,
             vec![FrameId(1)],
             StrategyKind::RefcountOnly,
-            PinToken::Refcount {
-                frames: vec![FrameId(1)],
-            },
+            PinToken::Refcount,
         );
         let h2 = t.insert(
             Pid(1),
@@ -233,9 +231,7 @@ mod tests {
             PAGE_SIZE,
             vec![FrameId(1)],
             StrategyKind::RefcountOnly,
-            PinToken::Refcount {
-                frames: vec![FrameId(1)],
-            },
+            PinToken::Refcount,
         );
         assert_ne!(h1, h2, "multiple registration yields distinct handles");
         assert_eq!(t.len(), 2);
@@ -256,7 +252,7 @@ mod tests {
             4 * PAGE_SIZE,
             frames,
             StrategyKind::KiobufReliable,
-            PinToken::Refcount { frames: vec![] },
+            PinToken::Kiobuf,
         );
         assert_eq!(t.find_covering(Pid(1), 0x2000, PAGE_SIZE), Some(h));
         assert_eq!(

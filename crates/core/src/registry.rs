@@ -367,7 +367,7 @@ impl MemoryRegistry {
                 }
                 // Token consumed without touching VMAs; we unlock runs
                 // ourselves below.
-                unpin_region(kernel, &mut self.pin_table, token, false)?;
+                unpin_region(kernel, &mut self.pin_table, token, &region.frames, false)?;
                 for (s, e) in zero_runs {
                     let had_cap = kernel.capabilities(pid)?.ipc_lock;
                     if !had_cap {
@@ -386,7 +386,7 @@ impl MemoryRegistry {
                 }
             }
             _ => {
-                unpin_region(kernel, &mut self.pin_table, token, true)?;
+                unpin_region(kernel, &mut self.pin_table, token, &region.frames, true)?;
             }
         }
         self.stats.deregistrations += 1;
@@ -498,7 +498,7 @@ impl MemoryRegistry {
         // pairs that pin each frame.
         let mut expect: HashMap<FrameId, u32> = HashMap::new();
         for r in self.regions.iter() {
-            if !matches!(r.token, Some(PinToken::Kiobuf { .. })) {
+            if !matches!(r.token, Some(PinToken::Kiobuf)) {
                 continue;
             }
             for &f in &r.frames {

@@ -4,7 +4,7 @@
 //! pages of a registered region kept in physical memory?* — in the way one
 //! of the surveyed VIA implementations does, plus the paper's own proposal.
 
-use simmem::{page::PageFlags, FrameId, Kernel, Pid, VirtAddr, PAGE_SIZE};
+use simmem::{page::PageFlags, FrameId, Kernel, PageHold, Pid, VirtAddr, PAGE_SIZE};
 
 use crate::error::{RegError, RegResult};
 use crate::pin::PinTable;
@@ -65,14 +65,14 @@ impl StrategyKind {
 }
 
 /// Strategy-private state carried by a pinned region, consumed on
-/// deregistration.
+/// deregistration together with the region's frames.
 #[derive(Debug)]
 pub enum PinToken {
-    /// Refcount-only: remember the frames whose counts we bumped.
-    Refcount { frames: Vec<FrameId> },
-    /// Raw flags: frames whose counts we bumped and whose `PG_locked` we
-    /// set.
-    RawFlags { frames: Vec<FrameId> },
+    /// Refcount-only: each of the region's frames holds one reference.
+    Refcount,
+    /// Raw flags: each of the region's frames holds one reference and the
+    /// `PG_locked` we set.
+    RawFlags,
     /// mlock: the locked interval; unlocking happens when the *driver-side*
     /// interval count drops to zero (see `registry`).
     Mlock {
@@ -80,17 +80,37 @@ pub enum PinToken {
         start: VirtAddr,
         len: usize,
     },
-    /// kiobuf: page references plus pin-table locks (released through the
-    /// shared [`PinTable`]).
-    Kiobuf { frames: Vec<FrameId> },
+    /// kiobuf: page references plus pin-table locks on the region's frames
+    /// (released through the shared [`PinTable`]).
+    Kiobuf,
     /// On-demand: nothing was pinned at registration. The frames pinned so
     /// far live in the registry's lazy-pin ledger; deregistration drains
     /// that ledger through `Kernel::lazy_unpin_frame`.
     OnDemand,
 }
 
-/// Register a range with the given strategy; returns the pinned frames and
-/// the token needed to undo the pin.
+/// The Giganet-style hold: a page reference, and `PG_locked` set blindly —
+/// no check whether the kernel already holds the bit, which is precisely
+/// the unclean part the paper criticises.
+struct RawLock;
+
+impl PageHold for RawLock {
+    type Error = RegError;
+
+    fn take(&mut self, kernel: &mut Kernel, frame: FrameId) -> RegResult<()> {
+        kernel.raw_get_page(frame);
+        kernel.raw_set_page_flag(frame, PageFlags::LOCKED);
+        Ok(())
+    }
+
+    fn give_back(&mut self, kernel: &mut Kernel, frame: FrameId) {
+        kernel.raw_clear_page_flag(frame, PageFlags::LOCKED);
+        kernel.put_user_page(frame);
+    }
+}
+
+/// Register a range with the given strategy; returns the pinned frames —
+/// the region's one frame list — and the token needed to undo the pin.
 pub fn pin_region(
     kernel: &mut Kernel,
     pin_table: &mut PinTable,
@@ -110,31 +130,13 @@ pub fn pin_region(
             // This is exactly the Berkeley-VIA / M-VIA approach — and
             // exactly as unreliable; the kernel rolls partial failures back.
             let frames = kernel.get_user_pages(pid, start, (end - start) as usize)?;
-            Ok((frames.clone(), PinToken::Refcount { frames }))
+            Ok((frames, PinToken::Refcount))
         }
         StrategyKind::RawFlags => {
-            // Per page: fault, grab a reference, blindly set `PG_locked` —
-            // no check whether the kernel already holds the bit, which is
-            // precisely the unclean part the paper criticises.
-            let mut frames = Vec::new();
-            let mut a = start;
-            while a < end {
-                match kernel.get_user_page(pid, a) {
-                    Ok(f) => {
-                        kernel.raw_set_page_flag(f, PageFlags::LOCKED);
-                        frames.push(f);
-                    }
-                    Err(e) => {
-                        for &g in &frames {
-                            kernel.raw_clear_page_flag(g, PageFlags::LOCKED);
-                            kernel.put_user_page(g);
-                        }
-                        return Err(e.into());
-                    }
-                }
-                a += PAGE_SIZE as u64;
-            }
-            Ok((frames.clone(), PinToken::RawFlags { frames }))
+            // Per page: fault, grab a reference, blindly set `PG_locked`.
+            let frames =
+                kernel.walk_user_range(pid, start, (end - start) as usize, &mut RawLock)?;
+            Ok((frames, PinToken::RawFlags))
         }
         StrategyKind::VmaMlock => {
             // The capability dance: grant CAP_IPC_LOCK, do_mlock, reclaim.
@@ -173,7 +175,7 @@ pub fn pin_region(
             // fused fault+ref+lock batch, with full rollback, lives in the
             // pin table.
             let frames = pin_table.pin_user_range(kernel, pid, start, (end - start) as usize)?;
-            Ok((frames.clone(), PinToken::Kiobuf { frames }))
+            Ok((frames, PinToken::Kiobuf))
         }
         StrategyKind::OnDemand => {
             // Register without pinning: validate the span's VMA coverage
@@ -192,24 +194,24 @@ pub fn pin_region(
     }
 }
 
-/// Undo a [`pin_region`]. For `Mlock`, `unlock_interval` tells whether the
-/// driver-side interval bookkeeping says this was the last registration of
-/// the range (remember: `munlock` does not nest).
+/// Undo a [`pin_region`] of `frames`, the frames it returned. For `Mlock`,
+/// `unlock_interval` tells whether the driver-side interval bookkeeping
+/// says this was the last registration of the range (remember: `munlock`
+/// does not nest).
 pub fn unpin_region(
     kernel: &mut Kernel,
     pin_table: &mut PinTable,
     token: PinToken,
+    frames: &[FrameId],
     unlock_interval: bool,
 ) -> RegResult<()> {
     match token {
-        PinToken::Refcount { frames } => {
-            for f in frames {
-                kernel.raw_put_page(f)?;
-            }
+        PinToken::Refcount => {
+            kernel.put_user_pages(frames);
             Ok(())
         }
-        PinToken::RawFlags { frames } => {
-            for f in frames {
+        PinToken::RawFlags => {
+            for &f in frames {
                 // Cleared regardless of other holders — the hazard the
                 // failure-injection tests expose.
                 kernel.raw_clear_page_flag(f, PageFlags::LOCKED);
@@ -231,7 +233,7 @@ pub fn unpin_region(
             }
             Ok(())
         }
-        PinToken::Kiobuf { frames } => pin_table.unpin_user_range(kernel, &frames),
+        PinToken::Kiobuf => pin_table.unpin_user_range(kernel, frames),
         // Lazy pins are not the token's to release: the registry drains its
         // ledger through `Kernel::lazy_unpin_frame` before consuming the
         // token (see `registry::deregister`).
@@ -311,7 +313,7 @@ mod tests {
             } else {
                 assert!(frames.is_empty(), "{strategy:?} must not pin eagerly");
             }
-            unpin_region(&mut k, &mut pt, token, true).unwrap();
+            unpin_region(&mut k, &mut pt, token, &frames, true).unwrap();
             // After unpin + munmap everything must be released (the pin
             // faulted 4 pages in; munmap returns them).
             k.munmap(pid, a, 8 * PAGE_SIZE).unwrap();
@@ -338,7 +340,7 @@ mod tests {
             .page_descriptor(frames[0])
             .flags()
             .contains(PageFlags::LOCKED));
-        unpin_region(&mut k, &mut pt, token, true).unwrap();
+        unpin_region(&mut k, &mut pt, token, &frames, true).unwrap();
         assert_eq!(k.page_descriptor(frames[0]).count(), 1);
     }
 
@@ -347,7 +349,7 @@ mod tests {
         let (mut k, pid, a) = setup();
         let mut pt = PinTable::new();
         assert!(!k.capabilities(pid).unwrap().ipc_lock);
-        let (_, token) = pin_region(
+        let (frames, token) = pin_region(
             &mut k,
             &mut pt,
             StrategyKind::VmaMlock,
@@ -358,7 +360,7 @@ mod tests {
         .unwrap();
         assert!(!k.capabilities(pid).unwrap().ipc_lock, "cap reclaimed");
         assert_eq!(k.locked_bytes(pid).unwrap(), 2 * PAGE_SIZE as u64);
-        unpin_region(&mut k, &mut pt, token, true).unwrap();
+        unpin_region(&mut k, &mut pt, token, &frames, true).unwrap();
         assert_eq!(k.locked_bytes(pid).unwrap(), 0);
     }
 
@@ -386,12 +388,12 @@ mod tests {
         .unwrap();
         assert_eq!(f1, f2, "same physical pages");
         assert_eq!(pt.count(f1[0]), 2);
-        unpin_region(&mut k, &mut pt, t1, false).unwrap();
+        unpin_region(&mut k, &mut pt, t1, &f1, false).unwrap();
         assert!(
             k.page_descriptor(f1[0]).flags().contains(PageFlags::LOCKED),
             "still locked after first deregistration"
         );
-        unpin_region(&mut k, &mut pt, t2, false).unwrap();
+        unpin_region(&mut k, &mut pt, t2, &f2, false).unwrap();
         assert!(!k.page_descriptor(f1[0]).flags().contains(PageFlags::LOCKED));
     }
 
@@ -406,7 +408,7 @@ mod tests {
         // Kernel starts I/O on the page: bit already set by the strategy,
         // kernel would block in reality; here it stacks on the same bit.
         k.begin_page_io(frames[0]);
-        unpin_region(&mut k, &mut pt, token, true).unwrap();
+        unpin_region(&mut k, &mut pt, token, &frames, true).unwrap();
         assert!(
             !k.end_page_io(frames[0]),
             "deregistration cleared the I/O lock out from under the kernel"
@@ -432,7 +434,7 @@ mod tests {
         assert!(k.end_page_io(f), "I/O lock untouched");
         assert_eq!(k.kiobuf_count(), 0, "failed registration left no kiobuf");
         // Retry succeeds.
-        let (_, token) = pin_region(
+        let (frames, token) = pin_region(
             &mut k,
             &mut pt,
             StrategyKind::KiobufReliable,
@@ -441,7 +443,7 @@ mod tests {
             PAGE_SIZE,
         )
         .unwrap();
-        unpin_region(&mut k, &mut pt, token, false).unwrap();
+        unpin_region(&mut k, &mut pt, token, &frames, false).unwrap();
     }
 
     #[test]

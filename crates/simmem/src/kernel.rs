@@ -151,6 +151,10 @@ pub struct Kernel {
     /// walk (the differential test in `reclaim`).
     #[cfg(test)]
     pub(crate) oracle_stealer: bool,
+    /// Run the per-page reference loop instead of the run walk (the
+    /// differential in `gup_diff_tests`).
+    #[cfg(test)]
+    pub(crate) reference_walk: bool,
 }
 
 impl Kernel {
@@ -199,6 +203,8 @@ impl Kernel {
             config,
             #[cfg(test)]
             oracle_stealer: false,
+            #[cfg(test)]
+            reference_walk: false,
         }
     }
 
@@ -511,82 +517,6 @@ impl Kernel {
     // Page-table inspection (kernel-internal; drivers that do this would
     // not be accepted upstream — which is the paper's point)
     // ------------------------------------------------------------------
-
-    /// `get_user_pages` for a single page: fault the page containing
-    /// `addr` in (write intent iff the VMA is writable, breaking COW) and
-    /// take a page reference. The caller owns one reference on the returned
-    /// frame and must drop it with [`Kernel::put_user_page`].
-    ///
-    /// NOTE the reference alone does *not* protect against eviction (the
-    /// paper's whole point); callers that need residency must also take the
-    /// page lock **before** causing any further allocation.
-    pub fn get_user_page(&mut self, pid: Pid, addr: VirtAddr) -> MmResult<FrameId> {
-        let writable = self.vma_writable(pid, addr)?;
-        let frame = self.fault_in(pid, addr, writable)?;
-        self.pagemap.get_page(frame);
-        Ok(frame)
-    }
-
-    /// Drop a reference taken by [`Kernel::get_user_page`].
-    pub fn put_user_page(&mut self, frame: FrameId) {
-        self.put_frame(frame);
-    }
-
-    /// `get_user_pages` proper: fault every page of `[addr, addr+len)` in
-    /// and take one reference per page, returning the backing frames in
-    /// order. On any failure the references taken so far are dropped — no
-    /// partial acquisition escapes. The same residency caveat as
-    /// [`Kernel::get_user_page`] applies to every frame.
-    pub fn get_user_pages(
-        &mut self,
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-    ) -> MmResult<Vec<FrameId>> {
-        let mut frames = Vec::with_capacity(crate::pages_for(len));
-        let mut a = crate::page_base(addr);
-        let end = addr + len as u64;
-        while a < end {
-            match self.get_user_page(pid, a) {
-                Ok(f) => frames.push(f),
-                Err(e) => {
-                    self.put_user_pages(&frames);
-                    return Err(e);
-                }
-            }
-            a += PAGE_SIZE as u64;
-        }
-        Ok(frames)
-    }
-
-    /// Drop one reference per frame, as taken by
-    /// [`Kernel::get_user_pages`].
-    pub fn put_user_pages(&mut self, frames: &[FrameId]) {
-        for &f in frames {
-            self.put_frame(f);
-        }
-    }
-
-    /// Fault every page of `[addr, addr+len)` in — write intent wherever
-    /// the VMA allows it, breaking COW so DMA targets never share frames —
-    /// and return the backing frames in order. The batched form of the
-    /// per-page `vma_writable` + fault walk; takes **no** page references.
-    pub fn fault_in_range(
-        &mut self,
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-    ) -> MmResult<Vec<FrameId>> {
-        let mut frames = Vec::with_capacity(crate::pages_for(len));
-        let mut a = crate::page_base(addr);
-        let end = addr + len as u64;
-        while a < end {
-            let writable = self.vma_writable(pid, a)?;
-            frames.push(self.fault_in(pid, a, writable)?);
-            a += PAGE_SIZE as u64;
-        }
-        Ok(frames)
-    }
 
     /// Write-protect the present PTEs of `[addr, addr+len)` — the
     /// protection-trap arm of on-demand registration. Registered spans go

@@ -20,7 +20,7 @@
 use crate::error::MmResult;
 use crate::page::PageFlags;
 use crate::stats::CounterCell;
-use crate::{FrameId, Kernel, MmError, Pid, VirtAddr, PAGE_SIZE};
+use crate::{FrameId, Kernel, MmError, Pid, VirtAddr};
 
 /// Handle to a mapped kiobuf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,34 +45,15 @@ impl Kernel {
     /// `map_user_kiobuf`: fault the range in and grab a reference on every
     /// page. Write intent is used when the VMA is writable so COW is broken
     /// *now* — a NIC must never DMA into a page the process would later copy
-    /// away from.
+    /// away from. A page that fails maps nothing: the references taken on
+    /// the pages before it are dropped again.
     pub fn map_user_kiobuf(&mut self, pid: Pid, addr: VirtAddr, len: usize) -> MmResult<KiobufId> {
         if len == 0 {
             return Err(MmError::InvalidArgument("kiobuf of zero length"));
         }
         let start = crate::page_base(addr);
-        let end = crate::page_align_up(addr + len as u64);
-        let npages = ((end - start) / PAGE_SIZE as u64) as usize;
-
-        let mut frames = Vec::with_capacity(npages);
-        let mut a = start;
-        while a < end {
-            // Determine write intent from the VMA.
-            let writable = {
-                let proc = self.process(pid)?;
-                proc.mm
-                    .vmas
-                    .find(a)
-                    .ok_or(MmError::SegFault { pid, addr: a })?
-                    .flags
-                    .write
-            };
-            let frame = self.fault_in(pid, a, writable)?;
-            self.pagemap.get_page(frame);
-            self.stats.kiobuf_pins.bump();
-            frames.push(frame);
-            a += PAGE_SIZE as u64;
-        }
+        let frames = self.get_user_pages(pid, addr, len)?;
+        self.stats.kiobuf_pins.add(frames.len() as u64);
 
         let id = KiobufId(self.next_kiobuf);
         self.next_kiobuf += 1;
@@ -162,7 +143,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{prot, Capabilities, KernelConfig};
+    use crate::{prot, Capabilities, KernelConfig, PAGE_SIZE};
 
     fn setup() -> (Kernel, Pid, VirtAddr) {
         let mut k = Kernel::new(KernelConfig::small());
@@ -246,6 +227,26 @@ mod tests {
             .unwrap();
         assert_eq!(k.kiobuf(id).unwrap().frames.len(), 2);
         k.unmap_kiobuf(id).unwrap();
+    }
+
+    #[test]
+    fn a_range_running_off_its_area_maps_nothing() {
+        let mut k = Kernel::new(KernelConfig::small());
+        let pid = k.spawn_process(Capabilities::default());
+        let a = k
+            .mmap_anon(pid, 2 * PAGE_SIZE, prot::READ | prot::WRITE)
+            .unwrap();
+        k.touch_pages(pid, a, 2 * PAGE_SIZE, true).unwrap();
+        let hole = a + 2 * PAGE_SIZE as u64;
+        assert_eq!(
+            k.map_user_kiobuf(pid, a, 3 * PAGE_SIZE),
+            Err(MmError::SegFault { pid, addr: hole })
+        );
+        for f in k.frames_of_range(pid, a, 2 * PAGE_SIZE).unwrap() {
+            assert_eq!(k.page_descriptor(f.unwrap()).count(), 1, "reference leaked");
+        }
+        assert_eq!(k.mm_stats().kiobuf_pins, 0, "no page stays mapped");
+        assert_eq!(k.kiobuf_count(), 0);
     }
 
     #[test]

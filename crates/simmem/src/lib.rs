@@ -46,6 +46,7 @@ pub mod error;
 pub mod fault;
 pub mod fork;
 pub mod frame;
+pub mod gup;
 pub mod kernel;
 pub mod kiobuf;
 pub mod mlock;
@@ -58,6 +59,7 @@ pub mod vma;
 
 pub use error::MmError;
 pub use frame::{FrameId, PhysMem};
+pub use gup::PageHold;
 pub use kernel::{Capabilities, Injector, Kernel, KernelConfig, Pid};
 pub use kiobuf::{Kiobuf, KiobufId};
 pub use mm::{AddressSpace, Pte, VirtAddr, Vpn};
@@ -146,3 +148,6 @@ mod swapcache_tests;
 
 #[cfg(test)]
 mod stealer_diff_tests;
+
+#[cfg(test)]
+mod gup_diff_tests;

@@ -125,6 +125,37 @@ impl AddressSpace {
         self.ptes.range(from..to).map(|(k, v)| (*k, v))
     }
 
+    /// The run of `[from, to)` a walk may take without a fault: the frames
+    /// of the consecutive PTEs from `from` on that are present and, for a
+    /// write, writable — appended to `out`, in one ordered pass.
+    pub(crate) fn present_run(&self, from: Vpn, to: Vpn, write: bool, out: &mut Vec<FrameId>) {
+        for (next, (&vpn, pte)) in (from..).zip(self.ptes.range(from..to)) {
+            match *pte {
+                Pte::Present {
+                    frame, writable, ..
+                } if vpn == next && (writable || !write) => out.push(frame),
+                _ => break,
+            }
+        }
+    }
+
+    /// Set the accessed bit — and the dirty bit, for a write — of the
+    /// `pages` present PTEs from `from` on, in one ordered pass: what a
+    /// fault-free access to each of them does.
+    pub(crate) fn mark_accessed(&mut self, from: Vpn, pages: u64, write: bool) {
+        for (_, pte) in self.ptes.range_mut(from..from + pages) {
+            let Pte::Present {
+                accessed, dirty, ..
+            } = pte
+            else {
+                debug_assert!(false, "a run page is not present");
+                continue;
+            };
+            *accessed = true;
+            *dirty |= write;
+        }
+    }
+
     /// Number of present pages inside `[from, to)`.
     pub(crate) fn present_in(&self, from: Vpn, to: Vpn) -> usize {
         self.present.range(from..to).count()

@@ -512,19 +512,21 @@ impl Node {
         rdma_read: bool,
     ) -> ViaResult<MemId> {
         let handle = self.registry.register(&mut self.kernel, pid, addr, len)?;
-        // Residency view: eager strategies yield one `Some` per page; an
-        // on-demand region yields all-`None` slots that fault on first DMA.
-        let frames = self.registry.tpt_frames(handle)?;
         if self.inject(FaultSite::TptFull) {
             // Injected TPT exhaustion: identical to the organic full-table
             // path below, pin rolled back.
             self.registry.deregister(&mut self.kernel, handle)?;
             return Err(ViaError::Reg(vialock::RegError::LimitExceeded));
         }
+        // Straight from the region's own frame list: an eager strategy
+        // recorded one frame per page; an on-demand region recorded none,
+        // and its slots start non-resident, faulting on first DMA.
+        let region = self.registry.region(handle)?;
+        let frames = (0..region.npages).map(|page| region.frames.get(page).copied());
         match self
             .nic
             .tpt
-            .insert_region(handle, pid, addr, len, &frames, tag, rdma_write, rdma_read)
+            .insert_region(handle, pid, addr, len, frames, tag, rdma_write, rdma_read)
         {
             Ok(mem_id) => Ok(mem_id),
             Err(e) => {

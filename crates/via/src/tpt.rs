@@ -125,7 +125,9 @@ impl TranslationCache {
 /// The table itself: fixed-capacity slots plus the region directory.
 pub struct Tpt {
     slots: Vec<Option<TptEntry>>,
-    free: Vec<usize>,
+    /// Number of empty slots: what a region's size is checked against
+    /// before the first-fit search, and what the census recounts.
+    free: usize,
     regions: std::collections::BTreeMap<MemId, TptRegion>,
     next_mem: u32,
     /// Bumped on every directory mutation; validates [`TranslationCache`]
@@ -146,7 +148,7 @@ impl Tpt {
     pub fn new(capacity: usize) -> Self {
         Tpt {
             slots: vec![None; capacity],
-            free: (0..capacity).rev().collect(),
+            free: capacity,
             regions: Default::default(),
             next_mem: 1,
             generation: 0,
@@ -160,14 +162,15 @@ impl Tpt {
 
     /// Free page slots remaining.
     pub fn free_slots(&self) -> usize {
-        self.free.len()
+        self.free
     }
 
     /// Fill slots for a freshly registered region. Slots need not be
     /// physically contiguous in a real TPT; for simplicity (and O(1)
-    /// lookup) we demand a contiguous run here and compact lazily via the
-    /// free stack. Eager strategies pass every frame as `Some`; on-demand
-    /// regions pass `None` for pages that start non-resident.
+    /// lookup) we demand a contiguous run here, found first-fit. `frames`
+    /// yields one entry per page: eager strategies yield every frame as
+    /// `Some`; on-demand regions yield `None` for pages that start
+    /// non-resident.
     #[allow(clippy::too_many_arguments)]
     pub fn insert_region(
         &mut self,
@@ -175,21 +178,24 @@ impl Tpt {
         pid: Pid,
         user_addr: VirtAddr,
         len: usize,
-        frames: &[Option<FrameId>],
+        frames: impl IntoIterator<Item = Option<FrameId>, IntoIter: ExactSizeIterator>,
         tag: ProtectionTag,
         rdma_write: bool,
         rdma_read: bool,
     ) -> ViaResult<MemId> {
+        let frames = frames.into_iter();
         let npages = frames.len();
-        if self.free.len() < npages {
+        if self.free < npages {
             return Err(ViaError::Reg(vialock::RegError::LimitExceeded));
         }
         // Find a contiguous run of free slots (first-fit scan).
         let first_slot = self.find_contiguous(npages)?;
-        for (i, &frame) in frames.iter().enumerate() {
-            let slot = first_slot + i;
-            debug_assert!(self.slots[slot].is_none());
-            self.slots[slot] = Some(TptEntry {
+        for (slot, frame) in self.slots[first_slot..first_slot + npages]
+            .iter_mut()
+            .zip(frames)
+        {
+            debug_assert!(slot.is_none());
+            *slot = Some(TptEntry {
                 frame,
                 tag,
                 pid,
@@ -197,8 +203,7 @@ impl Tpt {
                 rdma_read,
             });
         }
-        self.free
-            .retain(|&s| !(first_slot..first_slot + npages).contains(&s));
+        self.free -= npages;
         let mem_id = MemId(self.next_mem);
         self.next_mem += 1;
         self.generation += 1;
@@ -241,10 +246,8 @@ impl Tpt {
             .regions
             .remove(&mem_id)
             .ok_or(ViaError::BadId("memory"))?;
-        for slot in region.first_slot..region.first_slot + region.npages {
-            self.slots[slot] = None;
-            self.free.push(slot);
-        }
+        self.slots[region.first_slot..region.first_slot + region.npages].fill(None);
+        self.free += region.npages;
         self.generation += 1;
         Ok(region)
     }
@@ -283,7 +286,7 @@ impl Tpt {
 
     /// Occupied page slots.
     pub fn used_slots(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len() - self.free
     }
 
     /// Total page-slot capacity.
@@ -545,7 +548,8 @@ impl Tpt {
     /// The table census: the live regions' windows are disjoint, lie
     /// inside the table, and hold exactly the filled slots — no hole
     /// inside a window, no filled slot outside every window (one there
-    /// would be invisible to [`Tpt::invalidate_frame`]).
+    /// would be invisible to [`Tpt::invalidate_frame`]) — and the free-slot
+    /// counter equals the number of empty slots.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let mut owner: Vec<Option<MemId>> = vec![None; self.slots.len()];
         for r in self.regions.values() {
@@ -570,6 +574,13 @@ impl Tpt {
                 _ => {}
             }
         }
+        let empty = self.slots.iter().filter(|s| s.is_none()).count();
+        if empty != self.free {
+            return Err(format!(
+                "free-slot counter {} != {empty} empty TPT slots",
+                self.free
+            ));
+        }
         Ok(())
     }
 }
@@ -586,7 +597,7 @@ mod tests {
                 Pid(1),
                 0x1000 + 50,
                 2 * PAGE_SIZE,
-                &[FrameId(100), FrameId(101), FrameId(102)].map(Some),
+                [FrameId(100), FrameId(101), FrameId(102)].map(Some),
                 ProtectionTag(7),
                 true,
                 false,
@@ -642,7 +653,7 @@ mod tests {
                 Pid(1),
                 0x4000,
                 PAGE_SIZE,
-                &[Some(FrameId(5))],
+                [Some(FrameId(5))],
                 ProtectionTag(1),
                 false,
                 false,
@@ -671,7 +682,7 @@ mod tests {
                 Pid(1),
                 0x1000,
                 3 * PAGE_SIZE,
-                &frames.map(Some),
+                frames.map(Some),
                 ProtectionTag(1),
                 false,
                 false,
@@ -684,7 +695,7 @@ mod tests {
                 Pid(1),
                 0x9000,
                 2 * PAGE_SIZE,
-                &[FrameId(4), FrameId(5)].map(Some),
+                [FrameId(4), FrameId(5)].map(Some),
                 ProtectionTag(1),
                 false,
                 false,
@@ -698,7 +709,7 @@ mod tests {
                 Pid(1),
                 0x9000,
                 4 * PAGE_SIZE,
-                &[FrameId(4), FrameId(5), FrameId(6), FrameId(7)].map(Some),
+                [FrameId(4), FrameId(5), FrameId(6), FrameId(7)].map(Some),
                 ProtectionTag(1),
                 false,
                 false,
@@ -722,7 +733,7 @@ mod tests {
                 Pid(1),
                 0x1000,
                 4 * PAGE_SIZE,
-                &[FrameId(100), FrameId(101), FrameId(102), FrameId(200)].map(Some),
+                [FrameId(100), FrameId(101), FrameId(102), FrameId(200)].map(Some),
                 ProtectionTag(7),
                 true,
                 false,
@@ -810,7 +821,7 @@ mod tests {
                 Pid(1),
                 0x1000,
                 2 * PAGE_SIZE,
-                &[FrameId(5), FrameId(6)].map(Some),
+                [FrameId(5), FrameId(6)].map(Some),
                 ProtectionTag(1),
                 true,
                 false,
@@ -864,7 +875,7 @@ mod tests {
                 Pid(1),
                 0x9000,
                 PAGE_SIZE,
-                &[Some(FrameId(9))],
+                [Some(FrameId(9))],
                 ProtectionTag(1),
                 true,
                 false,
@@ -938,7 +949,7 @@ mod tests {
                 Pid(1),
                 0x1000,
                 3 * PAGE_SIZE,
-                &[Some(FrameId(50)), None, Some(FrameId(52))],
+                [Some(FrameId(50)), None, Some(FrameId(52))],
                 ProtectionTag(1),
                 true,
                 false,
@@ -1023,7 +1034,7 @@ mod tests {
                     Pid(1),
                     0x1000 * h,
                     frames.len() * PAGE_SIZE,
-                    &frames,
+                    frames,
                     ProtectionTag(1),
                     true,
                     false,
@@ -1048,5 +1059,21 @@ mod tests {
         t.slots[stray] = None;
         t.slots[0] = None;
         assert!(t.check_invariants().unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn the_census_recounts_the_free_slot_counter() {
+        let (mut t, id) = mk_tpt();
+        assert_eq!((t.free_slots(), t.used_slots()), (13, 3));
+        t.check_invariants().unwrap();
+        t.free += 1;
+        assert_eq!(
+            t.check_invariants(),
+            Err("free-slot counter 14 != 13 empty TPT slots".into())
+        );
+        t.free -= 1;
+        t.remove_region(id).unwrap();
+        assert_eq!(t.free_slots(), 16);
+        t.check_invariants().unwrap();
     }
 }
