@@ -95,11 +95,44 @@ fn unpack_waiter(w: u64) -> (RankId, ClientId) {
     ((w >> 32) as RankId, (w & 0xFFFF_FFFF) as ClientId)
 }
 
-/// Whether a refused `send` only means that every message slot of the
-/// pair is in flight: transient backpressure, to be retried once the
-/// receiver drains, never a sign that the peer is gone.
-fn is_backpressure(e: &ViaError) -> bool {
-    *e == ViaError::BadState("no free message slot")
+/// Why [`send_msg`] did not send.
+enum Unsent {
+    /// Every message slot toward the peer is in flight: transient
+    /// backpressure, to be retried once the receiver drains, never a sign
+    /// that the peer is gone.
+    Full,
+    /// Writing the message into the sender's own buffer failed.
+    Local(ViaError),
+    /// The channel failed: the check's progress round or the send itself.
+    Channel(ViaError),
+}
+
+/// Send one fixed-size message from `buf` on rank `from`. The channel is
+/// asked first and the message written only once it has a free slot, so a
+/// refusal touches no simulated memory. Fire and forget: a 32-byte message
+/// rides the PIO path, which copies the payload out during `send` itself,
+/// and any later progress round reaps the slot. Blocking here would
+/// deadlock the single-driver interleave, where the peer only receives on
+/// its next turn.
+fn send_msg<F: Fabric>(
+    c: &mut Comm<F>,
+    from: RankId,
+    to: RankId,
+    tag: u32,
+    buf: VirtAddr,
+    m: &[u8; MSG_BYTES],
+) -> Result<(), Unsent> {
+    match c.can_send(from, to) {
+        Ok(true) => {}
+        Ok(false) => return Err(Unsent::Full),
+        Err(e) => return Err(Unsent::Channel(e)),
+    }
+    c.fill_buffer(from, buf, m).map_err(Unsent::Local)?;
+    match c.send(from, to, tag, buf, MSG_BYTES) {
+        Ok(_) => Ok(()),
+        Err(ViaError::NoFreeSlot) => Err(Unsent::Full),
+        Err(e) => Err(Unsent::Channel(e)),
+    }
 }
 
 /// A reply the manager could not send yet: its tag and its bytes.
@@ -165,24 +198,20 @@ impl Manager {
         Ok(())
     }
 
-    /// Send one reply; `false` if every slot toward `to_rank` is in flight.
-    /// Fire and forget: a 32-byte message rides the PIO path, which copies
-    /// the payload out during `send` itself; the pending-send slot is
-    /// reaped by any later progress round. Blocking here would deadlock the
-    /// single-driver interleave (the client only recvs on its next turn).
-    /// Any other refusal means the rank is dying: record the death, drop
-    /// the reply and keep serving the living.
+    /// Send one reply; `false` if every slot toward `to_rank` is in flight,
+    /// with `send_buf` untouched. A channel failure means the rank is
+    /// dying: record the death, drop the reply and keep serving the living.
     fn post<F: Fabric>(
         &mut self,
         c: &mut Comm<F>,
         to_rank: RankId,
-        &(tag, m): &Outgoing,
+        (tag, m): &Outgoing,
     ) -> ViaResult<bool> {
-        c.fill_buffer(self.rank, self.send_buf, &m)?;
-        match c.send(self.rank, to_rank, tag, self.send_buf, MSG_BYTES) {
-            Ok(_) => Ok(true),
-            Err(e) if is_backpressure(&e) => Ok(false),
-            Err(_) => {
+        match send_msg(c, self.rank, to_rank, *tag, self.send_buf, m) {
+            Ok(()) => Ok(true),
+            Err(Unsent::Full) => Ok(false),
+            Err(Unsent::Local(e)) => Err(e),
+            Err(Unsent::Channel(_)) => {
                 self.rank_died_local(to_rank);
                 Ok(true)
             }
@@ -513,17 +542,11 @@ impl ClientEndpoint {
         m[4..8].copy_from_slice(&key.to_le_bytes());
         m[8..12].copy_from_slice(&self.client.to_le_bytes());
         m[16..24].copy_from_slice(&token.to_le_bytes());
-        c.fill_buffer(self.rank, self.buf, &m)
-            .map_err(DlmError::from)?;
-        // Fire and forget (PIO copies the payload during `send`); the
-        // pending slot drains through later progress rounds. Blocking on
-        // completion here would deadlock the single-driver interleave —
-        // the manager only recvs on its next serve step.
-        match c.send(self.rank, manager, TAG_REQ, self.buf, MSG_BYTES) {
-            Ok(_) => Ok(()),
+        match send_msg(c, self.rank, manager, TAG_REQ, self.buf, &m) {
+            Ok(()) => Ok(()),
             // Every slot to the manager is in flight: transient, retry.
-            Err(e) if is_backpressure(&e) => Err(DlmError::Backpressure),
-            Err(e) => Err(e.into()),
+            Err(Unsent::Full) => Err(DlmError::Backpressure),
+            Err(Unsent::Local(e) | Unsent::Channel(e)) => Err(e.into()),
         }
     }
 
@@ -782,5 +805,141 @@ mod tests {
             };
             assert_eq!(g.key, key as LockKey);
         }
+    }
+
+    fn minor_faults(c: &mut Comm, rank: RankId) -> u64 {
+        let node = c.rank_node(rank);
+        c.system_mut().node(node).kernel.mm_stats().minor_faults
+    }
+
+    fn buffer(c: &mut Comm, rank: RankId, addr: VirtAddr) -> [u8; MSG_BYTES] {
+        let mut b = [0u8; MSG_BYTES];
+        c.read_buffer(rank, addr, &mut b).unwrap();
+        b
+    }
+
+    #[test]
+    fn refusal_of_a_request_touches_nothing() {
+        let (mut c, _m, a, b) = setup();
+        // Four requests nobody serves fill every slot from rank 1.
+        for key in 0..4 {
+            a.send_acquire(&mut c, 0, key).unwrap();
+        }
+        let written = ClientEndpoint::new(&mut c, 1, 101).unwrap();
+        c.fill_buffer(1, written.buf, &[0xAB; MSG_BYTES]).unwrap();
+        let fresh = ClientEndpoint::new(&mut c, 1, 102).unwrap();
+        let (faults, refusals) = (minor_faults(&mut c, 1), c.stats.send_refusals);
+        assert!(matches!(
+            written.send_acquire(&mut c, 0, 9),
+            Err(DlmError::Backpressure)
+        ));
+        // A never-written buffer is not demand-faulted by a refusal.
+        assert!(matches!(
+            fresh.send_release(&mut c, 0, 9, 1),
+            Err(DlmError::Backpressure)
+        ));
+        assert_eq!(minor_faults(&mut c, 1), faults, "no fault for a refusal");
+        assert_eq!(c.stats.send_refusals, refusals + 2);
+        assert_eq!(buffer(&mut c, 1, written.buf), [0xAB; MSG_BYTES]);
+        // Another rank's channel is not full.
+        b.send_acquire(&mut c, 0, 9).unwrap();
+    }
+
+    #[test]
+    fn refusal_of_a_reply_waits_and_leaves_send_buf_untouched() {
+        let mut c = Comm::new(
+            2,
+            2,
+            KernelConfig::medium(),
+            StrategyKind::KiobufReliable,
+            MsgConfig::tiny(),
+        )
+        .unwrap();
+        let mut m = Manager::new(&mut c, 0, 1_000).unwrap();
+        let eps: Vec<_> = (0..5)
+            .map(|i| ClientEndpoint::new(&mut c, 1, 10 + i).unwrap())
+            .collect();
+        let mut now = 0;
+        let mut last_sent = [0u8; MSG_BYTES];
+        for (key, ep) in eps.iter().enumerate() {
+            if key == 4 {
+                last_sent = buffer(&mut c, 0, m.send_buf);
+            }
+            ep.send_acquire(&mut c, 0, key as LockKey).unwrap();
+            now += 1;
+            assert_eq!(m.serve_step(&mut c, now, 8).unwrap(), 1);
+        }
+        // Four grants fill every slot toward rank 1; the fifth waits.
+        assert_eq!(m.outbox[1].len(), 1);
+        assert_eq!(m.outbox[1][0].1[4..8], 4u32.to_le_bytes());
+        assert_eq!(buffer(&mut c, 0, m.send_buf), last_sent);
+        assert_eq!(last_sent[4..8], 3u32.to_le_bytes(), "the fourth grant");
+        assert!(m.dead_ranks.is_empty());
+    }
+
+    /// Ranks 0 (manager), 1 and 2; `held` on rank 2 holds key 5 and `waiter`
+    /// on rank 1 queues behind it. Then a third request from rank 1 is
+    /// consumed outside the manager, and rank 1's process exits without
+    /// the communicator being told: the next progress round reads that
+    /// request's response record from a process that is gone and fails.
+    /// That is an error of the channel check, not a full channel.
+    fn progress_will_fail() -> (Comm, Manager, ClientEndpoint, ClientEndpoint) {
+        let mut c = Comm::new(
+            3,
+            3,
+            KernelConfig::medium(),
+            StrategyKind::KiobufReliable,
+            MsgConfig::tiny(),
+        )
+        .unwrap();
+        let mut m = Manager::new(&mut c, 0, 50).unwrap();
+        let held = ClientEndpoint::new(&mut c, 2, 200).unwrap();
+        let waiter = ClientEndpoint::new(&mut c, 1, 100).unwrap();
+        let late = ClientEndpoint::new(&mut c, 1, 101).unwrap();
+        let other = ClientEndpoint::new(&mut c, 2, 201).unwrap();
+        let mut now = 0;
+        held.send_acquire(&mut c, 0, 5).unwrap();
+        let Reply::Granted(_) = pump_for_reply(&mut c, &mut m, &held, &mut now) else {
+            panic!("expected a grant");
+        };
+        waiter.send_acquire(&mut c, 0, 5).unwrap();
+        now += 1;
+        m.serve_step(&mut c, now, 8).unwrap();
+        assert_eq!(m.queued_waiters(), 1);
+        late.send_acquire(&mut c, 0, 6).unwrap();
+        let sink = c.alloc_buffer(0, MSG_BYTES).unwrap();
+        c.recv(0, 1, TAG_REQ, sink, MSG_BYTES).unwrap();
+        let (node, pid) = (c.rank_node(1), c.rank_pid(1));
+        c.system_mut().exit_process(node, pid).unwrap();
+        (c, m, waiter, other)
+    }
+
+    #[test]
+    fn refusal_check_error_ends_where_a_send_error_did() {
+        // Manager: the grant to the waiter on the dying rank meets the
+        // failed check, and the rank is taken for dead, as a failed send is.
+        let (mut c, mut m, waiter, _) = progress_will_fail();
+        let expires = m.holder_of(5).unwrap().2;
+        let send_buf = buffer(&mut c, 0, m.send_buf);
+        m.sweep_leases(&mut c, expires).unwrap();
+        assert_eq!(m.dead_ranks, vec![waiter.rank]);
+        assert!(m.outbox[waiter.rank].is_empty());
+        assert_eq!(buffer(&mut c, 0, m.send_buf), send_buf);
+
+        // Client: the same `DlmError` as the one a send that wrote its
+        // message first and then failed maps to.
+        let (mut c, _m, _, other) = progress_will_fail();
+        let got = other.send_acquire(&mut c, 0, 7).unwrap_err();
+        let (mut twin, _m, _, other) = progress_will_fail();
+        twin.fill_buffer(other.rank, other.buf, &[0; MSG_BYTES])
+            .unwrap();
+        let want = DlmError::from(
+            twin.send(other.rank, 0, TAG_REQ, other.buf, MSG_BYTES)
+                .unwrap_err(),
+        );
+        assert_eq!(got, want);
+        assert!(matches!(got, DlmError::Via(ViaError::Mm(_))), "{got:?}");
+        // The failed send was discarded: the channel works again.
+        other.send_acquire(&mut c, 0, 7).unwrap();
     }
 }

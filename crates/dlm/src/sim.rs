@@ -764,6 +764,19 @@ mod tests {
             (32, 272, 32, 8066),
             "(acquire p50, acquire p99, release p50 ticks, Jain × 10⁴)"
         );
+        // Sends refused on a full channel: 7 113 client requests and 161
+        // manager replies. A refusal writes nothing, so a client's buffer
+        // page is demand-faulted by its first accepted request, and a
+        // client whose every request was refused never faults it.
+        let sys = c.system_mut();
+        let minor_faults: u64 = (0..sys.len())
+            .map(|n| sys.node(n).kernel.mm_stats().minor_faults)
+            .sum();
+        assert_eq!(
+            (c.stats.send_refusals, minor_faults),
+            (7_274, 427),
+            "(send refusals, minor faults summed over nodes)"
+        );
         c.system_mut().check_invariants().unwrap();
     }
 }

@@ -648,7 +648,9 @@ impl<F: Fabric> Comm<F> {
     // ------------------------------------------------------------------
 
     /// Non-blocking send of `[addr, addr+len)` from `from`'s memory to
-    /// rank `to` under `tag`. Drive completion with [`Comm::wait`].
+    /// rank `to` under `tag`. Drive completion with [`Comm::wait`]. Refused
+    /// with [`ViaError::NoFreeSlot`] while every message slot of the pair is
+    /// in flight; [`Comm::can_send`] asks the same before anything is sent.
     pub fn send(
         &mut self,
         from: RankId,
@@ -660,10 +662,8 @@ impl<F: Fabric> Comm<F> {
         if tag == ANY_TAG {
             return Err(ViaError::BadState("ANY_TAG is receive-only"));
         }
-        // Reap finished sends so their slots free up.
-        self.progress()?;
-        let Some(slot) = self.pair(from, to)?.slot_busy.iter().position(|b| !b) else {
-            return Err(ViaError::BadState("no free message slot"));
+        let Some(slot) = self.free_slot(from, to)? else {
+            return Err(ViaError::NoFreeSlot);
         };
         let proto = self.cfg.protocol_for(len);
         let (s_node, s_pid, s_tag) = {
@@ -718,6 +718,23 @@ impl<F: Fabric> Comm<F> {
             comm: self.id,
             seq: p.seq,
         })
+    }
+
+    /// Whether a [`Comm::send`] from `from` to `to` would find a free message
+    /// slot now. Runs the progress round `send` runs first, so an error it
+    /// returns is the one `send` would have returned. A caller that asks
+    /// before it writes its payload pays nothing else for a full channel.
+    pub fn can_send(&mut self, from: RankId, to: RankId) -> ViaResult<bool> {
+        Ok(self.free_slot(from, to)?.is_some())
+    }
+
+    /// Reap finished sends so their slots free up, then pick the pair's first
+    /// free slot; `None` (counted as a refusal) if every one is in flight.
+    fn free_slot(&mut self, from: RankId, to: RankId) -> ViaResult<Option<usize>> {
+        self.progress()?;
+        let slot = self.pair(from, to)?.slot_busy.iter().position(|b| !b);
+        self.stats.send_refusals += slot.is_none() as u64;
+        Ok(slot)
     }
 
     /// Put a new send on the wire: payload and announcement for shared
@@ -1108,6 +1125,19 @@ impl<F: Fabric> Comm<F> {
         from: RankId,
         tag: u32,
     ) -> ViaResult<Option<(RankId, u32, usize)>> {
+        Ok(self
+            .probe(at, from, tag)?
+            .map(|(s, _, info)| (s, info.tag, info.len as usize)))
+    }
+
+    /// [`Comm::iprobe`] with what a receive needs to complete the match:
+    /// `(source, slot, info)` of the oldest matching message.
+    fn probe(
+        &mut self,
+        at: RankId,
+        from: RankId,
+        tag: u32,
+    ) -> ViaResult<Option<(RankId, usize, MsgInfo)>> {
         self.progress()?;
         let sources = match from {
             ANY_SOURCE => 0..self.ranks.len(),
@@ -1126,7 +1156,7 @@ impl<F: Fabric> Comm<F> {
                 }
             }
         }
-        Ok(best.map(|(s, _, info)| (s, info.tag, info.len as usize)))
+        Ok(best)
     }
 
     /// Blocking receive from [`ANY_SOURCE`]: probes every channel until one
@@ -1139,10 +1169,7 @@ impl<F: Fabric> Comm<F> {
         buf_len: usize,
     ) -> ViaResult<(RankId, usize)> {
         for _ in 0..SPIN_LIMIT {
-            if let Some((src, _, _)) = self.iprobe(at, ANY_SOURCE, tag)? {
-                let (slot, info) = self
-                    .match_message(src, at, tag)?
-                    .expect("probe just matched");
+            if let Some((src, slot, info)) = self.probe(at, ANY_SOURCE, tag)? {
                 let n = self.complete_recv(src, at, slot, info, buf_addr, buf_len)?;
                 return Ok((src, n));
             }
@@ -1164,10 +1191,7 @@ impl<F: Fabric> Comm<F> {
         budget: usize,
     ) -> ViaResult<(RankId, usize)> {
         for _ in 0..budget {
-            if let Some((src, _, _)) = self.iprobe(at, ANY_SOURCE, tag)? {
-                let (slot, info) = self
-                    .match_message(src, at, tag)?
-                    .expect("probe just matched");
+            if let Some((src, slot, info)) = self.probe(at, ANY_SOURCE, tag)? {
                 let n = self.complete_recv(src, at, slot, info, buf_addr, buf_len)?;
                 return Ok((src, n));
             }
@@ -1691,10 +1715,15 @@ mod tests {
         for _ in 0..c.cfg.info_slots {
             c.send(0, 1, 9, sbuf, 32).unwrap();
         }
+        assert!(!c.can_send(0, 1).unwrap());
         assert!(matches!(
             c.send(0, 1, 9, sbuf, 32),
-            Err(ViaError::BadState("no free message slot"))
+            Err(ViaError::NoFreeSlot)
         ));
+        assert_eq!(
+            c.stats.send_refusals, 2,
+            "the refused check and the refused send"
+        );
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct MsgStats {
     /// Response records of live sends the progress engine read: at most
     /// one per record written, however many sends are in flight.
     pub progress_visits: u64,
+    /// Sends refused because every message slot of the pair was in flight,
+    /// whether `Comm::can_send` answered no or `Comm::send` refused.
+    pub send_refusals: u64,
 }
 
 impl_since!(MsgStats {
@@ -57,6 +60,7 @@ impl_since!(MsgStats {
     pages_registered,
     cache_hits,
     progress_visits,
+    send_refusals,
 });
 
 impl MsgStats {

@@ -30,6 +30,10 @@ pub enum ViaError {
     BadId(&'static str),
     /// The VI is in the wrong state for the operation.
     BadState(&'static str),
+    /// Every message slot of the channel is in flight: transient
+    /// backpressure, to be retried once the receiver drains, never a sign
+    /// that the peer is gone.
+    NoFreeSlot,
     /// The connection was broken by a previous delivery error.
     Disconnected,
     /// A completion could not be delivered because the completion queue was
@@ -84,6 +88,7 @@ impl fmt::Display for ViaError {
             ViaError::RdmaDisabled => write!(f, "RDMA not enabled on region"),
             ViaError::BadId(what) => write!(f, "unknown {what} id"),
             ViaError::BadState(s) => write!(f, "bad VI state: {s}"),
+            ViaError::NoFreeSlot => write!(f, "no free message slot"),
             ViaError::Disconnected => write!(f, "connection broken"),
             ViaError::CqOverrun => write!(f, "completion queue overrun"),
             ViaError::PeerGone(node) => write!(f, "node {node} thread is gone"),
