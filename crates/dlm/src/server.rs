@@ -198,9 +198,11 @@ impl Manager {
         Ok(())
     }
 
-    /// Send one reply; `false` if every slot toward `to_rank` is in flight,
-    /// with `send_buf` untouched. A channel failure means the rank is
-    /// dying: record the death, drop the reply and keep serving the living.
+    /// Send one reply; `false` if it was not sent and should wait, with
+    /// `send_buf` untouched: every slot toward `to_rank` is in flight, or
+    /// another rank's send failed first. A failed send means its rank is
+    /// dying: record that death and keep serving the living. The reply is
+    /// dropped only when its own destination is the one dying.
     fn post<F: Fabric>(
         &mut self,
         c: &mut Comm<F>,
@@ -212,8 +214,12 @@ impl Manager {
             Err(Unsent::Full) => Ok(false),
             Err(Unsent::Local(e)) => Err(e),
             Err(Unsent::Channel(_)) => {
-                self.rank_died_local(to_rank);
-                Ok(true)
+                // Progress steps every pair: blame the manager's peer on the
+                // send that failed, not the reply's destination.
+                let (from, to) = c.take_failed_send().unwrap_or((self.rank, to_rank));
+                let dead = if from == self.rank { to } else { from };
+                self.rank_died_local(dead);
+                Ok(dead == to_rank)
             }
         }
     }
@@ -884,6 +890,14 @@ mod tests {
     /// request's response record from a process that is gone and fails.
     /// That is an error of the channel check, not a full channel.
     fn progress_will_fail() -> (Comm, Manager, ClientEndpoint, ClientEndpoint) {
+        progress_will_fail_with_waiter(1, 100)
+    }
+
+    /// [`progress_will_fail`] with the waiter on `rank` as client `client`.
+    fn progress_will_fail_with_waiter(
+        rank: RankId,
+        client: ClientId,
+    ) -> (Comm, Manager, ClientEndpoint, ClientEndpoint) {
         let mut c = Comm::new(
             3,
             3,
@@ -894,7 +908,7 @@ mod tests {
         .unwrap();
         let mut m = Manager::new(&mut c, 0, 50).unwrap();
         let held = ClientEndpoint::new(&mut c, 2, 200).unwrap();
-        let waiter = ClientEndpoint::new(&mut c, 1, 100).unwrap();
+        let waiter = ClientEndpoint::new(&mut c, rank, client).unwrap();
         let late = ClientEndpoint::new(&mut c, 1, 101).unwrap();
         let other = ClientEndpoint::new(&mut c, 2, 201).unwrap();
         let mut now = 0;
@@ -941,5 +955,22 @@ mod tests {
         assert!(matches!(got, DlmError::Via(ViaError::Mm(_))), "{got:?}");
         // The failed send was discarded: the channel works again.
         other.send_acquire(&mut c, 0, 7).unwrap();
+    }
+
+    #[test]
+    fn a_failed_send_condemns_its_own_rank_not_the_reply_destination() {
+        // The sweep grants key 5 to a waiter on live rank 2; the channel
+        // check fails on rank 1's send. Rank 1 is the dead one, and the
+        // grant reaches its waiter once the failed send is discarded.
+        let (mut c, mut m, waiter, _) = progress_will_fail_with_waiter(2, 202);
+        let mut now = m.holder_of(5).unwrap().2;
+        m.sweep_leases(&mut c, now).unwrap();
+        assert_eq!(m.dead_ranks, vec![1]);
+        assert_eq!(m.holder_of(5).unwrap().0, 202);
+        let Reply::Granted(g) = pump_for_reply(&mut c, &mut m, &waiter, &mut now) else {
+            panic!("expected the grant");
+        };
+        assert_eq!(g.key, 5);
+        assert_eq!(m.dead_ranks, vec![1]);
     }
 }

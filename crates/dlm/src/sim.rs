@@ -626,15 +626,17 @@ mod tests {
         assert!(f > 0.3, "fairness collapsed: {f}");
     }
 
-    /// The benchmark's `dlm_onesided` smoke shape with exact counts. Every
-    /// number below depends on who wins each CAS race, so a change in the
-    /// fabric's delivery order (or in the lock protocol) fails here rather
-    /// than in a benchmark comparison.
-    #[test]
-    fn onesided_golden_counts_on_the_benchmark_smoke_shape() {
-        const CLIENTS_PER_RANK: usize = 64;
-        const STEPS: u64 = 200;
-        const CLIENTS_PER_TICK: usize = 32;
+    /// The benchmark's `dlm_onesided` shape at seed 7: rank 7 crash-stops and
+    /// rank 8 exits and is swept at the midpoint, then the final sweep
+    /// leaves no orphan. Returns (grants, give-ups, cas_attempts, steals,
+    /// reclaimed). Every number depends on who wins each CAS race, so a
+    /// change in the fabric's delivery order (or in the lock protocol) fails
+    /// here rather than in a benchmark comparison.
+    fn onesided_benchmark_shape(
+        clients_per_rank: usize,
+        steps: u64,
+        clients_per_tick: usize,
+    ) -> (usize, u64, u64, u64, u64) {
         let mut c = Comm::new(
             9,
             9,
@@ -645,19 +647,18 @@ mod tests {
         .unwrap();
         let ranks: Vec<RankId> = (1..=8).collect();
         let mut sim =
-            OneSidedSim::new(&mut c, 0, &ranks, CLIENTS_PER_RANK, 64, 0.99, 80, 7).unwrap();
-        for _ in 0..STEPS / 2 {
-            sim.step(&mut c, CLIENTS_PER_TICK).unwrap();
+            OneSidedSim::new(&mut c, 0, &ranks, clients_per_rank, 64, 0.99, 80, 7).unwrap();
+        for _ in 0..steps / 2 {
+            sim.step(&mut c, clients_per_tick).unwrap();
         }
-        // Midpoint: rank 7 crash-stops, rank 8 exits and is swept.
         sim.kill_rank_clients(7);
         sim.kill_rank_clients(8);
         crate::reclaim::exit_rank_onesided(&mut c, &mut sim.table, 8, 0, |cl| {
-            1 + cl as usize / CLIENTS_PER_RANK
+            1 + cl as usize / clients_per_rank
         })
         .unwrap();
-        for _ in STEPS / 2..STEPS {
-            sim.step(&mut c, CLIENTS_PER_TICK).unwrap();
+        for _ in steps / 2..steps {
+            sim.step(&mut c, clients_per_tick).unwrap();
         }
         let live = sim.live_clients();
         sim.table
@@ -668,21 +669,36 @@ mod tests {
             .orphans(&mut c, 0, |cl| live.contains(&cl))
             .unwrap();
         assert!(orphans.is_empty(), "{orphans:?}");
-
+        c.system_mut().check_invariants().unwrap();
         let t = sim.table.stats;
-        let got = (
+        (
             sim.stats.acquire_ticks.len(),
             sim.stats.deadline_errors,
             t.cas_attempts,
             t.steals,
             t.reclaimed,
-        );
+        )
+    }
+
+    /// The smoke shape: no client gives up yet.
+    #[test]
+    fn onesided_golden_counts_on_the_benchmark_smoke_shape() {
         assert_eq!(
-            got,
+            onesided_benchmark_shape(64, 200, 32),
             (442, 0, 852, 9, 2),
             "(grants, give-ups, cas_attempts, steals, reclaimed)"
         );
-        c.system_mut().check_invariants().unwrap();
+    }
+
+    /// The full shape: the ruler counts its give-ups as failed operations,
+    /// so a moved give-up count is a changed failed share.
+    #[test]
+    fn onesided_golden_gives_up_on_the_benchmark_full_shape() {
+        assert_eq!(
+            onesided_benchmark_shape(512, 2400, 256),
+            (7_406, 8_474, 14_767, 1, 4),
+            "(grants, give-ups, cas_attempts, steals, reclaimed)"
+        );
     }
 
     /// The benchmark's `dlm_server` smoke shape with exact counts: the twin

@@ -53,17 +53,6 @@ pub struct SendHandle {
 /// communicator is refused instead of aliasing one of its sends.
 static NEXT_COMM_ID: AtomicU32 = AtomicU32::new(0);
 
-/// A persistent send request: parameters plus the held registration.
-#[derive(Debug)]
-pub struct PersistentSend {
-    pub from: RankId,
-    pub to: RankId,
-    pub tag: u32,
-    pub addr: VirtAddr,
-    pub len: usize,
-    held: Option<(NodeId, MemId)>,
-}
-
 /// Bound on receive/wait spinning; exceeded only on protocol bugs.
 const SPIN_LIMIT: usize = 100_000;
 
@@ -169,9 +158,10 @@ pub struct Comm<F: Fabric = ViaSystem> {
     #[cfg(test)]
     pub(crate) visit_every_send: bool,
     next_seq: u64,
+    /// Sender and receiver of the last send that failed, until
+    /// [`Comm::take_failed_send`] reads them.
+    failed_send: Option<(RankId, RankId)>,
     caches: Vec<NodeRegCache>,
-    /// Relay sends in flight for the indirect-communication machinery.
-    pub(crate) pending_forward_handles: Vec<SendHandle>,
     /// Recycled staging buffer for the SM and one-copy copy-out paths and
     /// for probing a pair's info-slot array, so steady-state receives do
     /// not allocate per message (or per chunk).
@@ -231,8 +221,8 @@ impl<F: Fabric> Comm<F> {
             #[cfg(test)]
             visit_every_send: false,
             next_seq: 0,
+            failed_send: None,
             caches,
-            pending_forward_handles: Vec::new(),
             copy_scratch: Vec::new(),
             cas_scratch: HashMap::new(),
             stats: MsgStats::default(),
@@ -447,8 +437,8 @@ impl<F: Fabric> Comm<F> {
         self.caches[node].stats()
     }
 
-    /// Cached registrations on `node` that some send, receive or
-    /// persistent request still holds.
+    /// Cached registrations on `node` that some send or receive still
+    /// holds.
     pub fn cache_in_use(&self, node: NodeId) -> usize {
         self.caches[node].in_use()
     }
@@ -710,6 +700,7 @@ impl<F: Fabric> Comm<F> {
             // The send never became live; the launch error is the one to
             // report, whatever giving its slot and registration back says.
             let _ = self.release_send(&p);
+            self.failed_send = Some((from, to));
             return Err(e);
         }
         self.next_seq += 1;
@@ -846,11 +837,22 @@ impl<F: Fabric> Comm<F> {
                 let released = self.release_send(p);
                 // The error that discarded the send wins over a failure
                 // while cleaning up after it.
-                finished_or_failed?;
-                released?;
+                if let Err(e) = finished_or_failed.and(released) {
+                    self.failed_send = Some((p.from, p.to));
+                    return Err(e);
+                }
                 Ok(false)
             }
         }
+    }
+
+    /// Sender and receiver of the last send that failed — discarded by a
+    /// progress round or refused at launch — and forget them. A progress
+    /// round steps the sends of every pair, so an error from
+    /// [`Comm::send`] or [`Comm::can_send`] may belong to another pair
+    /// than the caller's; this names the one it does belong to.
+    pub fn take_failed_send(&mut self) -> Option<(RankId, RankId)> {
+        self.failed_send.take()
     }
 
     /// Clear the "written" mark of `from → to`'s response record `slot`;
@@ -1012,58 +1014,6 @@ impl<F: Fabric> Comm<F> {
     pub fn test(&mut self, h: SendHandle) -> ViaResult<bool> {
         self.progress()?;
         Ok(!self.is_live(h)?)
-    }
-
-    // ------------------------------------------------------------------
-    // Persistent requests (MPI_Send_init / MPI_Start / MPI_Request_free)
-    // ------------------------------------------------------------------
-
-    /// Create a persistent send request: the buffer's registration is
-    /// acquired once and **held**, so every [`Comm::start`] is guaranteed a
-    /// cache hit regardless of cache pressure — "it is profitable to use
-    /// registered buffers again like in the MPI persistent communication"
-    /// (the CHEMPI companion paper).
-    pub fn send_init(
-        &mut self,
-        from: RankId,
-        to: RankId,
-        tag: u32,
-        addr: VirtAddr,
-        len: usize,
-    ) -> ViaResult<PersistentSend> {
-        let held = if self.cfg.protocol_for(len) == crate::config::Protocol::SharedMemory {
-            // SM sends never register; nothing to hold.
-            None
-        } else {
-            let (node, pid, rtag) = {
-                let i = &self.ranks[from];
-                (i.node, i.pid, i.tag)
-            };
-            Some((node, self.cached_acquire(node, pid, addr, len, rtag)?))
-        };
-        Ok(PersistentSend {
-            from,
-            to,
-            tag,
-            addr,
-            len,
-            held,
-        })
-    }
-
-    /// Start one transfer of a persistent request (non-blocking, like
-    /// `MPI_Start`).
-    pub fn start(&mut self, req: &PersistentSend) -> ViaResult<SendHandle> {
-        self.send(req.from, req.to, req.tag, req.addr, req.len)
-    }
-
-    /// Free a persistent request, dropping the held registration
-    /// (`MPI_Request_free`).
-    pub fn request_free(&mut self, req: PersistentSend) -> ViaResult<()> {
-        if let Some((node, mem)) = req.held {
-            self.cached_release(node, mem)?;
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1588,42 +1538,6 @@ mod tests {
         c.wait(h2).unwrap();
     }
 
-    #[test]
-    fn persistent_requests_pin_the_cache_entry() {
-        // A cache too small for two buffers would normally thrash; the
-        // persistent request holds its entry so every start() hits.
-        let mut cfg = MsgConfig::tiny();
-        cfg.cache_pages = 13; // exactly one 50 000-B buffer's pages
-        let mut c = Comm::new(
-            2,
-            2,
-            KernelConfig::large(),
-            StrategyKind::KiobufReliable,
-            cfg,
-        )
-        .unwrap();
-        let len = 50_000;
-        let sbuf = c.alloc_buffer(0, len).unwrap();
-        let rbuf = c.alloc_buffer(1, len).unwrap();
-        c.fill_buffer(0, sbuf, &vec![9u8; len]).unwrap();
-        let req = c.send_init(0, 1, 4, sbuf, len).unwrap();
-        let regs_after_init = c.stats.registrations;
-        for _ in 0..3 {
-            let h = c.start(&req).unwrap();
-            c.recv(1, 0, 4, rbuf, len).unwrap();
-            c.wait(h).unwrap();
-        }
-        // Sender side never re-registered: only receiver-side traffic adds
-        // registrations (its cache thrashes, the sender's held entry not).
-        let sender_hits = c.stats.cache_hits;
-        assert!(sender_hits >= 3, "every start hit the held entry");
-        assert!(
-            c.stats.registrations - regs_after_init <= 3,
-            "only the receiver side re-registers"
-        );
-        c.request_free(req).unwrap();
-    }
-
     /// Fire-and-forget SM traffic: the sender never waits, the next
     /// `send` reaps the previous one.
     fn fire_and_forget(c: &mut Comm, sbuf: VirtAddr, rbuf: VirtAddr, n: usize) -> SendHandle {
@@ -1711,6 +1625,8 @@ mod tests {
         ));
         assert_eq!(c.in_flight(), 0);
         assert_eq!(c.cache_in_use(0), 0, "registration given back");
+        assert_eq!(c.take_failed_send(), Some((0, 1)));
+        assert_eq!(c.take_failed_send(), None, "read once");
         // All four slots of the pair are still free.
         for _ in 0..c.cfg.info_slots {
             c.send(0, 1, 9, sbuf, 32).unwrap();

@@ -32,7 +32,6 @@
 pub mod coll;
 pub mod comm;
 pub mod config;
-pub mod indirect;
 pub mod regcache;
 pub mod seg;
 pub mod stats;

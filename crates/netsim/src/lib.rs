@@ -16,17 +16,13 @@
 //!   and registration-cache effects;
 //! * [`cpu`] — the CPU-availability model of the PCI–SCI bridge paper
 //!   (`t_avail,DMA = 0.85 · t_DMA` vs. `t_avail,SHM = t_DMA − t_SHM`);
-//! * [`sweep`] — NetPIPE-style message-size sweeps;
-//! * [`routes`] — the `mdconfig` route planner of the Multidevice
-//!   companion paper (Dijkstra over the cluster description, indirect
-//!   communication, size-dependent device selection).
+//! * [`sweep`] — NetPIPE-style message-size sweeps.
 //!
 //! All times are in **nanoseconds** (`u64`), all sizes in bytes.
 
 pub mod cost;
 pub mod cpu;
 pub mod proto;
-pub mod routes;
 pub mod sweep;
 
 pub use cost::{Nanos, NetworkProfile};

@@ -92,34 +92,3 @@ fn closed_window_refuses_access() {
         "stale window handle refused"
     );
 }
-
-#[test]
-fn indirect_and_windows_compose() {
-    // A put announced indirectly: rank 0 tells rank 2 (via 1) where to
-    // find data in rank 0's own window — the kind of composition a real
-    // MPI-2 implementation performs.
-    let mut c = comm(3);
-    let win_buf = c.alloc_buffer(0, 4096).unwrap();
-    let w = c.expose_window(0, win_buf, 4096).unwrap();
-    c.fill_buffer(0, win_buf + 128, b"window payload").unwrap();
-
-    // Announce offset+len through the indirect path.
-    let note = c.alloc_buffer(0, 16).unwrap();
-    c.fill_buffer(0, note, &128u64.to_le_bytes()).unwrap();
-    c.send_indirect(0, 1, 2, 3, note, 8).unwrap();
-    c.forward_pump(1).unwrap();
-    let scratch = c.alloc_buffer(2, 16).unwrap();
-    let env = c.recv_indirect(2, 3, scratch, 16).unwrap();
-    assert_eq!(env.orig_src, 0);
-    let mut off_bytes = vec![0u8; 8];
-    c.read_buffer(2, scratch, &mut off_bytes).unwrap();
-    let off = u64::from_le_bytes(off_bytes.try_into().unwrap()) as usize;
-
-    // Fetch the announced range one-sidedly.
-    let dst = c.alloc_buffer(2, 64).unwrap();
-    c.get(2, dst, 14, &w, off).unwrap();
-    let mut out = vec![0u8; 14];
-    c.read_buffer(2, dst, &mut out).unwrap();
-    assert_eq!(&out, b"window payload");
-    c.close_window(w).unwrap();
-}

@@ -223,62 +223,6 @@ fn fork_chains_preserve_isolation() {
     });
 }
 
-#[test]
-fn route_planner_never_beats_itself() {
-    use netsim::routes::{plan_routes, Link, NetworkDescription};
-    let linked = |n: usize, &(a, b, _, _): &(usize, usize, u64, u32)| a < n && b < n && a != b;
-    let draw = |rng: &mut StdRng| {
-        let n_nodes = rng.random_range(2usize..6);
-        let link = |rng: &mut StdRng| {
-            let (a, b) = (rng.random_range(0usize..6), rng.random_range(0usize..6));
-            (
-                a,
-                b,
-                rng.random_range(1u64..100_000),
-                rng.random_range(0u32..100),
-            )
-        };
-        let seed_links = vec_of(rng, 1..12, link);
-        let msg = rng.random_range(1usize..100_000);
-        // Reject a description with no usable link.
-        let usable = seed_links.iter().any(|l| linked(n_nodes, l));
-        usable.then_some((n_nodes, seed_links, msg))
-    };
-    let name = "route_planner_never_beats_itself";
-    cases(name, 48, draw, |(n_nodes, seed_links, msg)| {
-        let links: Vec<Link> = (seed_links.into_iter().filter(|l| linked(n_nodes, l)))
-            .map(|(a, b, lat, bw)| Link {
-                a,
-                b,
-                device: "dev",
-                latency_ns: lat,
-                per_byte_ns: bw as f64 / 10.0,
-            })
-            .collect();
-        let desc = NetworkDescription {
-            n_nodes,
-            links: links.clone(),
-            forward_ns: Some(5_000),
-        };
-        let rt = plan_routes(&desc, msg);
-        for l in &links {
-            // A planned route between directly linked nodes can never cost
-            // more than that direct link.
-            let direct = l.latency_ns + (msg as f64 * l.per_byte_ns).round() as u64;
-            let r = rt.route(l.a, l.b).expect("linked nodes are reachable");
-            assert!(
-                r.cost_ns <= direct,
-                "route {} > direct {}",
-                r.cost_ns,
-                direct
-            );
-            // Costs are symmetric on an undirected description.
-            let back = rt.route(l.b, l.a).expect("reachable");
-            assert_eq!(r.cost_ns, back.cost_ns);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------
 // Registration fast path: interval index + run-length mlock bookkeeping
 // ---------------------------------------------------------------------
