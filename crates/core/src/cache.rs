@@ -14,13 +14,12 @@
 //! [`MemoryRegistry`], turning misses into `register` calls and evictions
 //! into `deregister` calls.
 
-use simmem::{Kernel, Pid, VirtAddr};
+use simmem::{Kernel, PageSpan, Pid, VirtAddr};
 
 use crate::error::{RegError, RegResult};
 use crate::lru::{CacheReleaseError, CoveringLru};
 use crate::region::MemHandle;
 use crate::registry::MemoryRegistry;
-use crate::strategy::PageSpan;
 
 pub use crate::lru::CacheStats;
 

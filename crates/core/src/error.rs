@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use simmem::MmError;
+use simmem::{MmError, SpanWraps};
 
 /// Errors returned by registration, pinning and cache operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +54,12 @@ impl From<MmError> for RegError {
             MmError::PageBusy(_) => RegError::WouldBlock,
             other => RegError::Mm(other),
         }
+    }
+}
+
+impl From<SpanWraps> for RegError {
+    fn from(_: SpanWraps) -> Self {
+        RegError::InvalidArgument("region wraps the address space")
     }
 }
 

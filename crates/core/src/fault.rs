@@ -235,8 +235,8 @@ impl FaultPlan {
             true
         } else if st.rule.prob_per_64k > 0 {
             // Per-site SplitMix64 stream: seed ⊕ site, position = hit index.
-            let x = splitmix64(
-                seed ^ ((site.code() as u64 + 1) << 32) ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            let x = rand::splitmix64(
+                seed ^ ((site.code() as u64 + 1) << 32) ^ n.wrapping_mul(rand::GAMMA),
             );
             (x & 0xffff) < st.rule.prob_per_64k as u64
         } else {
@@ -292,15 +292,6 @@ pub fn kernel_hook(h: &FaultHandle) -> Box<dyn FnMut(u32) -> bool + Send> {
             .should_fail(site),
         None => false,
     })
-}
-
-/// SplitMix64 — the mixer of the vendored `rand::rngs::StdRng`, reimplemented here so
-/// the plan owns its stream.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

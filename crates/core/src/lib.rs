@@ -73,4 +73,5 @@ pub use lru::{CacheReleaseError, CoveringLru};
 pub use pin::PinTable;
 pub use region::{MemHandle, Region, RegionTable};
 pub use registry::{MemoryRegistry, RegistryStats};
-pub use strategy::{PageSpan, PinToken, StrategyKind};
+pub use simmem::PageSpan;
+pub use strategy::{PinToken, StrategyKind};

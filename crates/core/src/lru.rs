@@ -21,10 +21,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-use simmem::Pid;
+use simmem::{PageSpan, Pid};
 
 use crate::span::SpanIndex;
-use crate::strategy::PageSpan;
 
 /// Cache performance counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

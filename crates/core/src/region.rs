@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use simmem::{FrameId, Pid, VirtAddr, PAGE_SIZE};
+use simmem::{FrameId, PageSpan, Pid, VirtAddr, PAGE_SIZE};
 
 use crate::error::{RegError, RegResult};
 use crate::span::SpanIndex;
@@ -26,12 +26,11 @@ pub struct Region {
     pub user_addr: VirtAddr,
     /// Original request length in bytes.
     pub len: usize,
-    /// Page-aligned base of the pinned range.
-    pub page_base: VirtAddr,
-    /// Pages spanned by the registration. For eager strategies this equals
-    /// `frames.len()`; for on-demand regions the span is reserved up front
-    /// while `frames` stays empty (residency lives in the lazy ledger).
-    pub npages: usize,
+    /// The pages spanned by the registration. For eager strategies
+    /// `frames` holds one frame per page; for on-demand regions the span
+    /// is reserved up front while `frames` stays empty (residency lives in
+    /// the lazy ledger).
+    pub span: PageSpan,
     /// Physical frames backing the range, one per page, captured at
     /// registration time — what goes into the TPT. Empty for on-demand
     /// regions, whose TPT entries start non-resident.
@@ -50,7 +49,7 @@ impl Region {
             return Err(RegError::InvalidArgument("offset beyond region"));
         }
         let abs = self.user_addr + offset as u64;
-        let page_index = ((abs - self.page_base) / PAGE_SIZE as u64) as usize;
+        let page_index = ((abs - self.span.base) / PAGE_SIZE as u64) as usize;
         let in_page = (abs & (PAGE_SIZE as u64 - 1)) as usize;
         // Pages the registration did not capture (on-demand spans) report
         // WouldBlock: the caller resolves residency via the lazy ledger.
@@ -64,7 +63,7 @@ impl Region {
 
     /// Number of pages spanned by the registration (pinned or reserved).
     pub fn npages(&self) -> usize {
-        self.npages
+        self.span.npages
     }
 }
 
@@ -85,24 +84,23 @@ impl RegionTable {
         Self::default()
     }
 
+    /// Record a registration of `[user_addr, user_addr + len)`, whose
+    /// checked page span is `span`.
+    #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &mut self,
         pid: Pid,
         user_addr: VirtAddr,
         len: usize,
+        span: PageSpan,
         frames: Vec<FrameId>,
         strategy: StrategyKind,
         token: PinToken,
     ) -> MemHandle {
         self.next += 1;
         let handle = MemHandle(self.next);
-        let page_base = simmem::page_base(user_addr);
-        // Eager strategies record one frame per page; on-demand regions
-        // record none and reserve the whole span.
-        let npages = crate::strategy::npages(user_addr, len).max(frames.len());
-        let page_end = page_base + (npages * PAGE_SIZE) as u64;
-        self.index.insert(pid, page_base, page_end, handle);
-        self.total_pages += npages;
+        self.index.insert(pid, span.base, span.end(), handle);
+        self.total_pages += span.npages;
         self.regions.insert(
             handle,
             Region {
@@ -110,8 +108,7 @@ impl RegionTable {
                 pid,
                 user_addr,
                 len,
-                page_base,
-                npages,
+                span,
                 frames,
                 strategy,
                 token: Some(token),
@@ -126,31 +123,24 @@ impl RegionTable {
 
     pub fn remove(&mut self, handle: MemHandle) -> RegResult<Region> {
         let region = self.regions.remove(&handle).ok_or(RegError::NoSuchHandle)?;
-        self.index.remove(region.pid, region.page_base, handle);
-        self.total_pages -= region.npages;
+        self.index.remove(region.pid, region.span.base, handle);
+        self.total_pages -= region.span.npages;
         Ok(region)
     }
 
-    /// A live region of `pid` whose pinned page span covers
-    /// `[start, start+len)`. O(log n + window) via the interval index; the
-    /// window is bounded by the largest region ever registered, not the
-    /// live-region count.
-    pub fn find_covering(&self, pid: Pid, start: VirtAddr, len: usize) -> Option<MemHandle> {
-        self.find_covering_probed(pid, start, len).0
+    /// A live region of `pid` whose pinned page span covers `span`.
+    /// O(log n + window) via the interval index; the window is bounded by
+    /// the largest region ever registered, not the live-region count.
+    pub fn find_covering(&self, pid: Pid, span: PageSpan) -> Option<MemHandle> {
+        self.find_covering_probed(pid, span).0
     }
 
     /// [`RegionTable::find_covering`] plus the number of index entries
     /// probed — deterministic evidence for complexity assertions in tests
     /// and benches.
     #[doc(hidden)]
-    pub fn find_covering_probed(
-        &self,
-        pid: Pid,
-        start: VirtAddr,
-        len: usize,
-    ) -> (Option<MemHandle>, usize) {
-        self.index
-            .find_covering_probed(pid, start, start + len as u64)
+    pub fn find_covering_probed(&self, pid: Pid, span: PageSpan) -> (Option<MemHandle>, usize) {
+        self.index.find_covering_probed(pid, span.base, span.end())
     }
 
     /// Number of live registrations.
@@ -185,8 +175,10 @@ mod tests {
             pid: Pid(1),
             user_addr: 0x1000 + 100,
             len: 2 * PAGE_SIZE,
-            page_base: 0x1000,
-            npages: 3,
+            span: PageSpan {
+                base: 0x1000,
+                npages: 3,
+            },
             frames: vec![FrameId(10), FrameId(11), FrameId(12)],
             strategy: StrategyKind::KiobufReliable,
             token: None,
@@ -221,6 +213,7 @@ mod tests {
             Pid(1),
             0x1000,
             PAGE_SIZE,
+            PageSpan::of(0x1000, PAGE_SIZE).unwrap(),
             vec![FrameId(1)],
             StrategyKind::RefcountOnly,
             PinToken::Refcount,
@@ -229,6 +222,7 @@ mod tests {
             Pid(1),
             0x1000,
             PAGE_SIZE,
+            PageSpan::of(0x1000, PAGE_SIZE).unwrap(),
             vec![FrameId(1)],
             StrategyKind::RefcountOnly,
             PinToken::Refcount,
@@ -242,6 +236,10 @@ mod tests {
         assert_eq!(t.total_pages(), 1);
     }
 
+    fn span(addr: VirtAddr, len: usize) -> PageSpan {
+        PageSpan::of(addr, len).unwrap()
+    }
+
     #[test]
     fn covering_lookup_tracks_inserts_and_removals() {
         let mut t = RegionTable::new();
@@ -250,22 +248,23 @@ mod tests {
             Pid(1),
             0x1000,
             4 * PAGE_SIZE,
+            PageSpan::of(0x1000, 4 * PAGE_SIZE).unwrap(),
             frames,
             StrategyKind::KiobufReliable,
             PinToken::Kiobuf,
         );
-        assert_eq!(t.find_covering(Pid(1), 0x2000, PAGE_SIZE), Some(h));
+        assert_eq!(t.find_covering(Pid(1), span(0x2000, PAGE_SIZE)), Some(h));
         assert_eq!(
-            t.find_covering(Pid(2), 0x2000, PAGE_SIZE),
+            t.find_covering(Pid(2), span(0x2000, PAGE_SIZE)),
             None,
             "other pid"
         );
         assert_eq!(
-            t.find_covering(Pid(1), 0x4000, 2 * PAGE_SIZE),
+            t.find_covering(Pid(1), span(0x4000, 2 * PAGE_SIZE)),
             None,
             "overhang"
         );
         t.remove(h).unwrap();
-        assert_eq!(t.find_covering(Pid(1), 0x2000, PAGE_SIZE), None);
+        assert_eq!(t.find_covering(Pid(1), span(0x2000, PAGE_SIZE)), None);
     }
 }

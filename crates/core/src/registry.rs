@@ -10,13 +10,13 @@
 
 use std::collections::HashMap;
 
-use simmem::{FrameId, Kernel, Pid, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
+use simmem::{FrameId, Kernel, PageSpan, Pid, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::error::{RegError, RegResult};
 use crate::interval::IntervalCounter;
 use crate::pin::PinTable;
 use crate::region::{MemHandle, Region, RegionTable};
-use crate::strategy::{pin_region, unpin_region, PageSpan, PinToken, StrategyKind};
+use crate::strategy::{pin_region, unpin_region, PinToken, StrategyKind};
 
 /// Registration statistics, reported by the experiment harness. Read them
 /// through [`MemoryRegistry::snapshot`], or `snapshot_with` to join the
@@ -177,11 +177,10 @@ impl MemoryRegistry {
         len: usize,
     ) -> RegResult<MemHandle> {
         // `addr` and `len` come straight from the user's `VipRegisterMem`
-        // call, and everything below (`pin_region`, `page_span`) adds them
-        // unchecked: the span check refuses a wrap first.
-        let npages = PageSpan::of(addr, len)?.npages;
+        // call: the span check refuses a wrap before anything is sized.
+        let span = PageSpan::of(addr, len)?;
         if let Some(max) = self.max_pages {
-            if self.regions.total_pages() + npages > max {
+            if self.regions.total_pages() + span.npages > max {
                 return Err(RegError::LimitExceeded);
             }
         }
@@ -208,18 +207,20 @@ impl MemoryRegistry {
             Err(e) => return Err(e),
         };
         if matches!(token, PinToken::Mlock { .. }) {
-            let (first, last) = page_span(addr, len);
+            let vpns = span.vpns();
             self.mlock_counts
                 .entry(pid)
                 .or_default()
-                .add(first, last + 1);
+                .add(vpns.start, vpns.end);
         }
         self.stats.registrations += 1;
         self.stats.pages_pinned += frames.len() as u64;
-        let handle = self.regions.insert(pid, addr, len, frames, used, token);
+        let handle = self
+            .regions
+            .insert(pid, addr, len, span, frames, used, token);
         if used == StrategyKind::OnDemand {
             // Lazy span: nothing resident yet; pages pin on first access.
-            self.ledger.insert(handle, vec![None; npages]);
+            self.ledger.insert(handle, vec![None; span.npages]);
         }
         Ok(handle)
     }
@@ -236,7 +237,7 @@ impl MemoryRegistry {
     ) -> RegResult<FrameId> {
         let (pid, page_base, npages) = {
             let r = self.regions.get(handle)?;
-            (r.pid, r.page_base, r.npages())
+            (r.pid, r.span.base, r.npages())
         };
         let slot = self
             .ledger
@@ -296,7 +297,7 @@ impl MemoryRegistry {
                 if !frames.contains(&f) {
                     continue;
                 }
-                let addr = region.page_base + (page * PAGE_SIZE) as u64;
+                let addr = region.span.base + (page * PAGE_SIZE) as u64;
                 let live = kernel.lazy_pin_count(f) > 0
                     && kernel.frame_of(region.pid, addr).ok().flatten() == Some(f);
                 if !live {
@@ -353,14 +354,13 @@ impl MemoryRegistry {
                 // Interval bookkeeping: decrement run counts; munlock only
                 // the maximal half-open VPN runs `[s, e)` that dropped to
                 // zero.
-                let (pid, start, len) = (*pid, *start, *len);
-                let (first, last) = page_span(start, len);
+                let (pid, vpns) = (*pid, PageSpan::of(*start, *len)?.vpns());
                 let counter = self
                     .mlock_counts
                     .get_mut(&pid)
                     .ok_or(RegError::PinUnderflow)?;
                 let zero_runs = counter
-                    .sub(first, last + 1)
+                    .sub(vpns.start, vpns.end)
                     .map_err(|_| RegError::PinUnderflow)?;
                 if counter.is_empty() {
                     self.mlock_counts.remove(&pid);
@@ -417,7 +417,7 @@ impl MemoryRegistry {
                 return Err(RegError::InvalidArgument("offset beyond region"));
             }
             let abs = r.user_addr + offset as u64;
-            let page_index = ((abs - r.page_base) / PAGE_SIZE as u64) as usize;
+            let page_index = ((abs - r.span.base) / PAGE_SIZE as u64) as usize;
             let in_page = (abs & (PAGE_SIZE as u64 - 1)) as usize;
             return entry[page_index]
                 .map(|f| (f, in_page))
@@ -431,7 +431,7 @@ impl MemoryRegistry {
     /// stale frames.
     pub fn verify_consistency(&self, kernel: &Kernel, handle: MemHandle) -> RegResult<bool> {
         let r = self.regions.get(handle)?;
-        let current = kernel.frames_of_range(r.pid, r.page_base, r.npages() * PAGE_SIZE)?;
+        let current = kernel.frames_of_range(r.pid, r.span.base, r.span.bytes())?;
         if let Some(entry) = self.ledger.get(&handle) {
             // On-demand: only resident (ledger-held) pages promise
             // stability; non-resident pages re-pin on access by design.
@@ -457,7 +457,7 @@ impl MemoryRegistry {
 
     /// [`MemoryRegistry::find_covering`] plus the number of index entries
     /// probed — deterministic evidence that the lookup cost does not grow
-    /// with the live-region count.
+    /// with the live-region count. A span that wraps is covered by nothing.
     #[doc(hidden)]
     pub fn find_covering_probed(
         &self,
@@ -465,10 +465,10 @@ impl MemoryRegistry {
         addr: VirtAddr,
         len: usize,
     ) -> (Option<MemHandle>, usize) {
-        let start = simmem::page_base(addr);
-        let end = simmem::page_align_up(addr + len as u64);
-        self.regions
-            .find_covering_probed(pid, start, (end - start) as usize)
+        match PageSpan::of(addr, len) {
+            Ok(span) => self.regions.find_covering_probed(pid, span),
+            Err(_) => (None, 0),
+        }
     }
 
     /// Driver-side mlock count at one VPN (mlock strategy bookkeeping) —
@@ -551,13 +551,6 @@ impl MemoryRegistry {
         }
         Ok(())
     }
-}
-
-/// First and last VPN of the page span of `[addr, addr+len)`.
-fn page_span(addr: VirtAddr, len: usize) -> (u64, u64) {
-    let first = simmem::page_base(addr) >> PAGE_SHIFT;
-    let last = (simmem::page_align_up(addr + len as u64) >> PAGE_SHIFT) - 1;
-    (first, last)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! pages of a registered region kept in physical memory?* — in the way one
 //! of the surveyed VIA implementations does, plus the paper's own proposal.
 
-use simmem::{page::PageFlags, FrameId, Kernel, PageHold, Pid, VirtAddr, PAGE_SIZE};
+use simmem::{page::PageFlags, FrameId, Kernel, PageHold, PageSpan, Pid, VirtAddr};
 
 use crate::error::{RegError, RegResult};
 use crate::pin::PinTable;
@@ -122,20 +122,19 @@ pub fn pin_region(
     if len == 0 {
         return Err(crate::RegError::InvalidArgument("zero-length region"));
     }
-    let start = simmem::page_base(addr);
-    let end = simmem::page_align_up(addr + len as u64);
+    let span = PageSpan::of(addr, len)?;
+    let (start, bytes) = (span.base, span.bytes());
     match strategy {
         StrategyKind::RefcountOnly => {
             // Batched `get_user_pages`: fault in, bump the reference count.
             // This is exactly the Berkeley-VIA / M-VIA approach — and
             // exactly as unreliable; the kernel rolls partial failures back.
-            let frames = kernel.get_user_pages(pid, start, (end - start) as usize)?;
+            let frames = kernel.get_user_pages(pid, start, bytes)?;
             Ok((frames, PinToken::Refcount))
         }
         StrategyKind::RawFlags => {
             // Per page: fault, grab a reference, blindly set `PG_locked`.
-            let frames =
-                kernel.walk_user_range(pid, start, (end - start) as usize, &mut RawLock)?;
+            let frames = kernel.walk_user_range(pid, start, bytes, &mut RawLock)?;
             Ok((frames, PinToken::RawFlags))
         }
         StrategyKind::VmaMlock => {
@@ -154,7 +153,7 @@ pub fn pin_region(
             // faults read-only (possibly onto the shared zero page), so the
             // batched walk first breaks COW with write intent where the VMA
             // allows it.
-            let frames = kernel.fault_in_range(pid, start, (end - start) as usize)?;
+            let frames = kernel.fault_in_range(pid, start, bytes)?;
             Ok((
                 frames,
                 PinToken::Mlock {
@@ -174,7 +173,7 @@ pub fn pin_region(
             // gap would orphan pages, so the lock is taken eagerly.) The
             // fused fault+ref+lock batch, with full rollback, lives in the
             // pin table.
-            let frames = pin_table.pin_user_range(kernel, pid, start, (end - start) as usize)?;
+            let frames = pin_table.pin_user_range(kernel, pid, start, bytes)?;
             Ok((frames, PinToken::Kiobuf))
         }
         StrategyKind::OnDemand => {
@@ -183,12 +182,10 @@ pub fn pin_region(
             // first NIC access), write-protect whatever is already present
             // so CPU writes trap through `do_wp_page`, and return **no**
             // frames — the TPT starts non-resident and fills on fault.
-            let mut a = start;
-            while a < end {
+            for a in span.pages() {
                 kernel.vma_writable(pid, a)?;
-                a += PAGE_SIZE as u64;
             }
-            kernel.write_protect_range(pid, start, (end - start) as usize)?;
+            kernel.write_protect_range(pid, start, bytes)?;
             Ok((Vec::new(), PinToken::OnDemand))
         }
     }
@@ -241,55 +238,10 @@ pub fn unpin_region(
     }
 }
 
-/// The whole pages a byte range `[addr, addr + len)` touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PageSpan {
-    /// The page-aligned start.
-    pub base: VirtAddr,
-    pub npages: usize,
-}
-
-impl PageSpan {
-    /// The page span of `[addr, addr + len)`, refused typed when its
-    /// page-aligned end does not fit in a `u64`. `addr` and `len` come
-    /// straight from a `VipRegisterMem` call or a cache lookup; this is the
-    /// one place their sum is checked, before anything is sized, indexed or
-    /// cached by it.
-    pub fn of(addr: VirtAddr, len: usize) -> RegResult<PageSpan> {
-        let end = addr
-            .checked_add(len as u64)
-            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
-            .ok_or(RegError::InvalidArgument("region wraps the address space"))?;
-        let base = simmem::page_base(addr);
-        Ok(PageSpan {
-            base,
-            npages: ((end - base) / PAGE_SIZE as u64) as usize,
-        })
-    }
-
-    /// Bytes the span covers.
-    pub fn bytes(&self) -> usize {
-        self.npages * PAGE_SIZE
-    }
-
-    /// One past the span's last byte.
-    pub fn end(&self) -> VirtAddr {
-        self.base + self.bytes() as u64
-    }
-}
-
-/// Pages spanned by `[addr, addr + len)`, for a span already known not to
-/// wrap ([`PageSpan::of`] checks).
-pub fn npages(addr: VirtAddr, len: usize) -> usize {
-    let start = simmem::page_base(addr);
-    let end = simmem::page_align_up(addr + len as u64);
-    ((end - start) as usize) / PAGE_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmem::{prot, Capabilities, KernelConfig};
+    use simmem::{prot, Capabilities, KernelConfig, PAGE_SIZE};
 
     fn setup() -> (Kernel, Pid, VirtAddr) {
         let mut k = Kernel::new(KernelConfig::small());
@@ -444,31 +396,5 @@ mod tests {
         )
         .unwrap();
         unpin_region(&mut k, &mut pt, token, &frames, false).unwrap();
-    }
-
-    #[test]
-    fn page_span_math_and_the_wrap_check() {
-        let span = PageSpan::of(10, PAGE_SIZE).unwrap();
-        assert_eq!((span.base, span.npages), (0, 2));
-        assert_eq!(
-            (span.bytes(), span.end()),
-            (2 * PAGE_SIZE, 2 * PAGE_SIZE as u64)
-        );
-        assert_eq!(PageSpan::of(PAGE_SIZE as u64, 0).unwrap().npages, 0);
-        // The last page of the address space still has an aligned end…
-        let last = u64::MAX - PAGE_SIZE as u64 + 1;
-        let wrap = Err(RegError::InvalidArgument("region wraps the address space"));
-        assert_eq!(PageSpan::of(last - PAGE_SIZE as u64, 1).unwrap().npages, 1);
-        // …but not a span that reaches into it, or past the top.
-        assert_eq!(PageSpan::of(last, 1), wrap);
-        assert_eq!(PageSpan::of(u64::MAX - 100, 200), wrap);
-        assert_eq!(PageSpan::of(1, usize::MAX), wrap);
-    }
-
-    #[test]
-    fn npages_math() {
-        assert_eq!(npages(0, PAGE_SIZE), 1);
-        assert_eq!(npages(10, PAGE_SIZE), 2, "unaligned spans two pages");
-        assert_eq!(npages(0, 1), 1);
     }
 }

@@ -11,28 +11,27 @@
 use std::collections::HashMap;
 
 use msg::{Comm, RankId};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use via::{Fabric, ViaResult};
 
 use crate::onesided::{OneSidedTable, TryAcquire};
 use crate::server::{ClientEndpoint, Manager, Reply};
 use crate::{ClientId, DlmError, LockKey};
 
-/// SplitMix64 — the harness's own deterministic generator (the vendored
-/// rand crate is a dev-dependency only).
+/// The harness's deterministic generator: the workspace's SplitMix64,
+/// started one increment past `seed`, with the two draws the harness
+/// needs.
 #[derive(Debug, Clone)]
-pub struct Rng(u64);
+pub struct Rng(StdRng);
 
 impl Rng {
     pub fn seeded(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
+        Rng(StdRng::seed_from_u64(seed.wrapping_add(rand::GAMMA)))
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     pub fn below(&mut self, n: u64) -> u64 {

@@ -14,7 +14,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use simmem::{prot, KernelConfig, Pid, VirtAddr, PAGE_SIZE};
+use simmem::{prot, KernelConfig, PageSpan, Pid, VirtAddr};
 use via::system::{NodeId, ViaSystem};
 use via::tpt::{MemId, ProtectionTag};
 use via::vi::ViId;
@@ -364,23 +364,6 @@ impl<F: Fabric> Comm<F> {
         Ok(self.pair(from, to)?.vi_s)
     }
 
-    /// Cache-acquire a registration on behalf of window put/get.
-    pub(crate) fn cache_acquire_for(
-        &mut self,
-        node: NodeId,
-        pid: Pid,
-        addr: VirtAddr,
-        len: usize,
-        tag: ProtectionTag,
-    ) -> ViaResult<MemId> {
-        self.cached_acquire(node, pid, addr, len, tag)
-    }
-
-    /// Matching release.
-    pub(crate) fn cache_release_for(&mut self, node: NodeId, mem: MemId) -> ViaResult<()> {
-        self.cached_release(node, mem)
-    }
-
     /// Access the underlying fabric (workloads run antagonists through it).
     pub fn system_mut(&mut self) -> &mut F {
         &mut self.sys
@@ -490,7 +473,9 @@ impl<F: Fabric> Comm<F> {
     pub fn free_buffer(&mut self, rank: RankId, addr: VirtAddr, len: usize) -> ViaResult<()> {
         let (node, pid) = (self.ranks[rank].node, self.ranks[rank].pid);
         // Cached registrations may still pin parts of the range; drop the
-        // idle cache entries first so the frames actually come back.
+        // idle cache entries first so the frames actually come back. A
+        // span that wraps is refused before anything is dropped.
+        PageSpan::of(addr, len)?;
         self.flush_caches()?;
         self.sys.munmap(node, pid, addr, len)
     }
@@ -517,7 +502,7 @@ impl<F: Fabric> Comm<F> {
     // Registration-cache plumbing
     // ------------------------------------------------------------------
 
-    fn cached_acquire(
+    pub(crate) fn cached_acquire(
         &mut self,
         node: NodeId,
         pid: Pid,
@@ -541,16 +526,14 @@ impl<F: Fabric> Comm<F> {
         )?;
         if caches[node].stats().misses > misses0 {
             stats.registrations += 1;
-            let base = simmem::page_base(addr);
-            let pages = (simmem::page_align_up(addr + len as u64) - base) / PAGE_SIZE as u64;
-            stats.pages_registered += pages;
+            stats.pages_registered += PageSpan::of(addr, len)?.npages as u64;
         } else {
             stats.cache_hits += 1;
         }
         Ok(mem)
     }
 
-    fn cached_release(&mut self, node: NodeId, mem: MemId) -> ViaResult<()> {
+    pub(crate) fn cached_release(&mut self, node: NodeId, mem: MemId) -> ViaResult<()> {
         let Comm { caches, sys, .. } = self;
         caches[node].release(
             &mut FabricNode {

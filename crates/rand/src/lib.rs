@@ -4,8 +4,23 @@
 //! deterministic, fast, and statistically fine for the synthetic workloads
 //! here (the real rand's ChaCha12 guarantees are not needed; nothing in
 //! this repo is security-sensitive).
+//!
+//! It is the workspace's one SplitMix64: the fault plans and the lock
+//! simulations draw from [`splitmix64`] and [`rngs::StdRng`] too.
 
 use core::ops::Range;
+
+/// SplitMix64's increment: the state advances by this per draw.
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 output for state `z`: the state advanced by [`GAMMA`],
+/// then mixed. A draw from a [`rngs::StdRng`] whose state was `z`.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Mirrors `rand::RngCore` for the one method we need.
 pub trait RngCore {
@@ -52,7 +67,7 @@ pub trait Rng: RngCore {
 impl<T: RngCore> Rng for T {}
 
 pub mod rngs {
-    use super::{RngCore, SeedableRng};
+    use super::{splitmix64, RngCore, SeedableRng, GAMMA};
 
     /// SplitMix64-backed deterministic generator.
     #[derive(Debug, Clone)]
@@ -68,11 +83,9 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            let z = self.state;
+            self.state = z.wrapping_add(GAMMA);
+            splitmix64(z)
         }
     }
 }

@@ -111,21 +111,11 @@ impl Kernel {
         len: usize,
         dontfork: bool,
     ) -> MmResult<()> {
-        if len == 0 {
-            return Err(MmError::InvalidArgument("madvise of zero length"));
-        }
-        let start = crate::page_base(addr);
-        let end = crate::page_align_up(addr + len as u64);
-        {
-            let proc = self.process(pid)?;
-            if !proc.mm.vmas.covered(start, end) {
-                return Err(MmError::SegFault { pid, addr });
-            }
-        }
+        let span = self.mapped_span(pid, addr, len, "madvise of zero length")?;
         let proc = self.process_mut(pid)?;
         proc.mm
             .vmas
-            .for_range_mut(start, end, |v| v.flags.dontfork = dontfork);
+            .for_range_mut(span.base, span.end(), |v| v.flags.dontfork = dontfork);
         proc.mm.vmas.merge_adjacent();
         Ok(())
     }
@@ -134,17 +124,8 @@ impl Kernel {
     /// VMAs at the boundaries. Downgrading to read-only also
     /// write-protects the PTEs so the next store faults.
     pub fn mprotect(&mut self, pid: Pid, addr: VirtAddr, len: usize, prot: u8) -> MmResult<()> {
-        if len == 0 {
-            return Err(MmError::InvalidArgument("mprotect of zero length"));
-        }
-        let start = crate::page_base(addr);
-        let end = crate::page_align_up(addr + len as u64);
-        {
-            let proc = self.process(pid)?;
-            if !proc.mm.vmas.covered(start, end) {
-                return Err(MmError::SegFault { pid, addr });
-            }
-        }
+        let span = self.mapped_span(pid, addr, len, "mprotect of zero length")?;
+        let (start, end) = (span.base, span.end());
         let read = prot & crate::prot::READ != 0;
         let write = prot & crate::prot::WRITE != 0;
         let proc = self.process_mut(pid)?;

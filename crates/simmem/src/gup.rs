@@ -17,7 +17,7 @@
 
 use crate::error::MmResult;
 use crate::mm::AddressSpace;
-use crate::{FrameId, Kernel, MmError, Pid, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
+use crate::{FrameId, Kernel, MmError, PageSpan, Pid, VirtAddr, PAGE_SIZE};
 
 /// What a walk holds on each page it reaches: a page reference, a page
 /// lock, a pin count — or nothing, for a walk that only faults pages in.
@@ -76,16 +76,13 @@ impl Kernel {
         len: usize,
         hold: &mut H,
     ) -> Result<Vec<FrameId>, H::Error> {
-        let end = addr
-            .checked_add(len as u64)
-            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
-            .ok_or(MmError::InvalidArgument("range wraps the address space"))?;
-        let start = crate::page_base(addr);
+        let span = PageSpan::of(addr, len).map_err(MmError::from)?;
+        let (start, end) = (span.base, span.end());
         #[cfg(test)]
         if self.reference_walk {
             return oracle::walk(self, pid, start, end, hold);
         }
-        let mut frames = Vec::with_capacity(((end - start) >> PAGE_SHIFT) as usize);
+        let mut frames = Vec::with_capacity(span.npages);
         match self.walk_into(pid, start, end, hold, &mut frames) {
             Ok(()) => Ok(frames),
             Err(e) => {
@@ -249,7 +246,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{prot, Capabilities, KernelConfig, PageFlags, Pte};
+    use crate::{prot, Capabilities, KernelConfig, PageFlags, Pte, PAGE_SHIFT};
 
     fn setup(pages: usize) -> (Kernel, Pid, VirtAddr) {
         let mut k = Kernel::new(KernelConfig::small());

@@ -16,7 +16,8 @@ use crate::vma::{VmArea, VmFlags};
 /// force that site to fail (see [`crate::inject`]).
 pub type Injector = Box<dyn FnMut(u32) -> bool + Send>;
 use crate::{
-    FrameId, KiobufId, MmError, MmStats, PhysMem, Pte, SwapDevice, VirtAddr, PAGE_MASK, PAGE_SIZE,
+    FrameId, KiobufId, MmError, MmStats, PageSpan, PhysMem, Pte, SwapDevice, VirtAddr, PAGE_MASK,
+    PAGE_SIZE,
 };
 
 /// Process identifier.
@@ -300,7 +301,7 @@ impl Kernel {
             .mm
             .find_free_range(len as u64)
             .ok_or(MmError::InvalidArgument("mmap wraps the address space"))?;
-        let end = start + crate::page_align_up(len as u64);
+        let end = PageSpan::of(start, len)?.end();
         proc.mm.vmas.insert(VmArea { start, end, flags })?;
         Ok(start)
     }
@@ -311,12 +312,7 @@ impl Kernel {
         if addr & PAGE_MASK != 0 {
             return Err(MmError::InvalidArgument("unaligned munmap"));
         }
-        let end = addr
-            .checked_add(len as u64)
-            .and_then(|end| end.checked_next_multiple_of(PAGE_SIZE as u64))
-            .ok_or(MmError::InvalidArgument(
-                "munmap range wraps the address space",
-            ))?;
+        let end = PageSpan::of(addr, len)?.end();
         let removed = {
             let proc = self.process_mut(pid)?;
             proc.mm.vmas.remove_range(addr, end)
@@ -342,6 +338,27 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+
+    /// The prologue of the calls that change the VMAs of a range
+    /// (`mprotect`, `madvise`, `mlock`): refuse a zero length (`what`
+    /// says which call), a span that wraps, and a span some page of which
+    /// no VMA maps (`SegFault`, as Linux's `ENOMEM`).
+    pub(crate) fn mapped_span(
+        &self,
+        pid: Pid,
+        addr: VirtAddr,
+        len: usize,
+        what: &'static str,
+    ) -> MmResult<PageSpan> {
+        if len == 0 {
+            return Err(MmError::InvalidArgument(what));
+        }
+        let span = PageSpan::of(addr, len)?;
+        if !self.process(pid)?.mm.vmas.covered(span.base, span.end()) {
+            return Err(MmError::SegFault { pid, addr });
+        }
+        Ok(span)
     }
 
     // ------------------------------------------------------------------
@@ -504,11 +521,8 @@ impl Kernel {
         len: usize,
         write: bool,
     ) -> MmResult<()> {
-        let mut a = crate::page_base(addr);
-        let end = addr + len as u64;
-        while a < end {
+        for a in PageSpan::of(addr, len)?.pages() {
             self.fault_in(pid, a, write)?;
-            a += PAGE_SIZE as u64;
         }
         Ok(())
     }
@@ -525,10 +539,9 @@ impl Kernel {
     /// COW-copies and dissolves the stale pin. Non-present pages need no
     /// marking: they already trap as not-present.
     pub fn write_protect_range(&mut self, pid: Pid, addr: VirtAddr, len: usize) -> MmResult<()> {
-        let start = AddressSpace::vpn(crate::page_base(addr));
-        let end = AddressSpace::vpn(crate::page_align_up(addr + len as u64));
+        let span = PageSpan::of(addr, len)?;
         let proc = self.process_mut(pid)?;
-        for vpn in start..end {
+        for vpn in span.vpns() {
             if let Some(Pte::Present { writable, .. }) = proc.mm.pte_mut(vpn) {
                 *writable = false;
             }
@@ -560,14 +573,8 @@ impl Kernel {
         addr: VirtAddr,
         len: usize,
     ) -> MmResult<Vec<Option<FrameId>>> {
-        let mut out = Vec::with_capacity(crate::pages_for(len));
-        let mut a = crate::page_base(addr);
-        let end = addr + len as u64;
-        while a < end {
-            out.push(self.frame_of(pid, a)?);
-            a += PAGE_SIZE as u64;
-        }
-        Ok(out)
+        let span = PageSpan::of(addr, len)?;
+        span.pages().map(|a| self.frame_of(pid, a)).collect()
     }
 
     /// Inspect a frame's page descriptor (diagnostics, tests).

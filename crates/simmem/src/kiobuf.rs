@@ -51,7 +51,7 @@ impl Kernel {
         if len == 0 {
             return Err(MmError::InvalidArgument("kiobuf of zero length"));
         }
-        let start = crate::page_base(addr);
+        let start = crate::PageSpan::of(addr, len)?.base;
         let frames = self.get_user_pages(pid, addr, len)?;
         self.stats.kiobuf_pins.add(frames.len() as u64);
 

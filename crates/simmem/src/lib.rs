@@ -53,6 +53,7 @@ pub mod mlock;
 pub mod mm;
 pub mod page;
 pub mod reclaim;
+pub mod span;
 pub mod stats;
 pub mod swap;
 pub mod vma;
@@ -64,6 +65,7 @@ pub use kernel::{Capabilities, Injector, Kernel, KernelConfig, Pid};
 pub use kiobuf::{Kiobuf, KiobufId};
 pub use mm::{AddressSpace, Pte, VirtAddr, Vpn};
 pub use page::{PageDescriptor, PageFlags};
+pub use span::{within, PageSpan, SpanWraps};
 pub use stats::{CounterCell, MemInfo, MmCounters, MmStats};
 pub use swap::{SlotId, SwapDevice};
 pub use vma::{VmArea, VmFlags, VmaSet};
@@ -75,22 +77,10 @@ pub const PAGE_SHIFT: u32 = 12;
 /// Bitmask selecting the offset-within-page part of an address.
 pub const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// Round `len` up to a whole number of pages.
-#[inline]
-pub fn pages_for(len: usize) -> usize {
-    len.div_ceil(PAGE_SIZE)
-}
-
 /// Round an address down to its page base.
 #[inline]
 pub fn page_base(addr: u64) -> u64 {
     addr & !PAGE_MASK
-}
-
-/// Round an address up to the next page boundary.
-#[inline]
-pub fn page_align_up(addr: u64) -> u64 {
-    (addr + PAGE_MASK) & !PAGE_MASK
 }
 
 /// Site codes for the kernel's pluggable deterministic fault injector
@@ -133,13 +123,7 @@ mod lib_tests {
 
     #[test]
     fn page_math() {
-        assert_eq!(pages_for(0), 0);
-        assert_eq!(pages_for(1), 1);
-        assert_eq!(pages_for(PAGE_SIZE), 1);
-        assert_eq!(pages_for(PAGE_SIZE + 1), 2);
         assert_eq!(page_base(0x1234), 0x1000);
-        assert_eq!(page_align_up(0x1001), 0x2000);
-        assert_eq!(page_align_up(0x1000), 0x1000);
     }
 }
 

@@ -8,7 +8,7 @@
 //! no matter how many times it was locked.
 
 use crate::error::MmResult;
-use crate::{Kernel, MmError, Pid, VirtAddr, PAGE_SIZE};
+use crate::{Kernel, MmError, Pid, VirtAddr};
 
 impl Kernel {
     /// The `mlock(2)` syscall: privilege check, then [`Kernel::do_mlock`].
@@ -32,23 +32,13 @@ impl Kernel {
     /// flips `VM_LOCKED`, and when locking faults every page in
     /// (`make_pages_present`).
     pub fn do_mlock(&mut self, pid: Pid, addr: VirtAddr, len: usize, lock: bool) -> MmResult<()> {
-        if len == 0 {
-            return Err(MmError::InvalidArgument("mlock of zero length"));
-        }
-        let start = crate::page_base(addr);
-        let end = crate::page_align_up(addr + len as u64);
-
-        {
+        let span = self.mapped_span(pid, addr, len, "mlock of zero length")?;
+        if lock {
             let proc = self.process(pid)?;
-            if !proc.mm.vmas.covered(start, end) {
-                return Err(MmError::SegFault { pid, addr });
-            }
-            if lock {
-                if let Some(limit) = proc.rlimit_memlock {
-                    let newly = end - start; // upper bound; fine for a limit check
-                    if proc.mm.vmas.locked_bytes() + newly > limit {
-                        return Err(MmError::MlockLimit);
-                    }
+            if let Some(limit) = proc.rlimit_memlock {
+                // Upper bound; fine for a limit check.
+                if proc.mm.vmas.locked_bytes() + span.bytes() as u64 > limit {
+                    return Err(MmError::MlockLimit);
                 }
             }
         }
@@ -57,7 +47,7 @@ impl Kernel {
             let proc = self.process_mut(pid)?;
             proc.mm
                 .vmas
-                .for_range_mut(start, end, |v| v.flags.locked = lock);
+                .for_range_mut(span.base, span.end(), |v| v.flags.locked = lock);
             proc.mm.vmas.merge_adjacent();
         }
 
@@ -65,10 +55,8 @@ impl Kernel {
             // make_pages_present: fault everything in so the locked range is
             // resident. Read faults suffice (COW still allowed later; the
             // stealer skips the VMA wholesale either way).
-            let mut a = start;
-            while a < end {
+            for a in span.pages() {
                 self.fault_in(pid, a, false)?;
-                a += PAGE_SIZE as u64;
             }
         }
         Ok(())

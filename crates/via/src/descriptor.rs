@@ -1,9 +1,11 @@
 //! VIA descriptors: the data structures a process builds in registered
 //! memory and posts to a work queue to request a transfer.
 
-use simmem::VirtAddr;
+use simmem::{MmError, VirtAddr};
+use vialock::RegError;
 
 use crate::tpt::MemId;
+use crate::{ViaError, ViaResult};
 
 /// Descriptor operation type (control-segment opcode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +58,20 @@ impl DescStatus {
     /// uses this to recognise error completions.
     pub fn is_error(self) -> bool {
         !matches!(self, DescStatus::Pending | DescStatus::Done)
+    }
+
+    /// A completion's status as the outcome of the operation it completes:
+    /// the one mapping from status to error. A completion carries no
+    /// cause for a failed repin; memory pressure is the one it documents.
+    pub fn result(self) -> ViaResult<()> {
+        match self {
+            DescStatus::Done => Ok(()),
+            DescStatus::Pending => Err(ViaError::BadState("completion still pending")),
+            DescStatus::ProtectionError => Err(ViaError::ProtectionMismatch),
+            DescStatus::Dropped | DescStatus::TransportError => Err(ViaError::Disconnected),
+            DescStatus::FormatError => Err(ViaError::BadState("descriptor format error")),
+            DescStatus::RepinFailed => Err(ViaError::Repin(RegError::Mm(MmError::OutOfMemory))),
+        }
     }
 }
 

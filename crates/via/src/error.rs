@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use simmem::MmError;
+use simmem::{MmError, SpanWraps};
 use vialock::RegError;
 
 /// Errors surfaced by NIC, fabric and VIPL operations.
@@ -116,6 +116,13 @@ impl From<RegError> for ViaError {
 impl From<MmError> for ViaError {
     fn from(e: MmError) -> Self {
         ViaError::Mm(e)
+    }
+}
+
+/// A wrapping span reaches the VIA layer as the registration refusal.
+impl From<SpanWraps> for ViaError {
+    fn from(e: SpanWraps) -> Self {
+        ViaError::Reg(e.into())
     }
 }
 

@@ -210,7 +210,7 @@ pub enum PacketKind {
     },
     /// RDMA-read request: the target gathers `len` bytes at
     /// `(remote_mem, remote_addr)` and answers with a
-    /// [`PacketKind::RdmaReadResp`].
+    /// [`PacketKind::Response`].
     RdmaReadReq {
         remote_mem: MemId,
         remote_addr: VirtAddr,
@@ -218,25 +218,25 @@ pub enum PacketKind {
         /// VI at the requester to route the response back to.
         reply_vi: ViId,
     },
-    /// RDMA-read response: payload for the oldest pending read of the
-    /// destination VI.
-    RdmaReadResp,
     /// Atomic compare-and-swap request on an aligned u64 at
     /// `(remote_mem, remote_addr)`. Payload: compare(8) ‖ swap(8), LE.
     /// The target executes the read-compare-conditional-write indivisibly
     /// (its service thread is the only writer of its memory) and answers
-    /// with a [`PacketKind::AtomicCasResp`].
+    /// with a [`PacketKind::Response`].
     AtomicCasReq {
         remote_mem: MemId,
         remote_addr: VirtAddr,
         /// VI at the requester to route the response back to.
         reply_vi: ViId,
     },
-    /// CAS response: on `ok` the payload carries the old value (8 bytes);
-    /// on a protection refusal the payload is empty and the requester's
-    /// parked descriptor completes with `ProtectionError` instead of
-    /// hanging.
-    AtomicCasResp { ok: bool },
+    /// The target's answer to an RDMA read or a CAS: it completes the
+    /// oldest parked descriptor of the destination VI, under that
+    /// descriptor's own op. On `ok` the payload carries the read's bytes or
+    /// the CAS's old value; on a refusal it is empty and the descriptor
+    /// completes with `ProtectionError`, so a requester never waits on an
+    /// answer that will not come, and the next answer on the VI completes
+    /// the next descriptor.
+    Response { ok: bool },
 }
 
 /// The NIC: TPT, VIs and counters.
@@ -522,7 +522,7 @@ impl Node {
         // recorded one frame per page; an on-demand region recorded none,
         // and its slots start non-resident, faulting on first DMA.
         let region = self.registry.region(handle)?;
-        let frames = (0..region.npages).map(|page| region.frames.get(page).copied());
+        let frames = (0..region.npages()).map(|page| region.frames.get(page).copied());
         match self
             .nic
             .tpt
@@ -1104,30 +1104,15 @@ impl Node {
                 reply_vi,
             } => {
                 // Target side: gather the requested range (tag + read-enable
-                // checked) and answer.
+                // checked) and answer, refusal or not.
                 let span = DataSeg {
                     mem: remote_mem,
                     addr: remote_addr,
                     len,
                 };
                 let by = Requester::Vi(vi_id);
-                match self.walk(by, once(span), Access::RdmaRead, Node::read_pooled) {
-                    Ok(payload) => {
-                        self.nic.stats.bytes_tx += payload.len() as u64;
-                        Ok(vec![Packet {
-                            src_node: packet.dst_node,
-                            dst_node: packet.src_node,
-                            dst_vi: reply_vi,
-                            kind: PacketKind::RdmaReadResp,
-                            payload,
-                            imm: packet.imm,
-                        }])
-                    }
-                    Err(e) => {
-                        self.nic.stats.protection_errors += 1;
-                        Err(e)
-                    }
-                }
+                let r = self.walk(by, once(span), Access::RdmaRead, Node::read_pooled);
+                Ok(self.respond((packet.dst_node, packet.src_node), reply_vi, packet.imm, r))
             }
             PacketKind::AtomicCasReq {
                 remote_mem,
@@ -1142,73 +1127,74 @@ impl Node {
                 let swap = le_u64(&packet.payload, 8);
                 let r = self.rdma_cas(vi_id, remote_mem, remote_addr, compare, swap);
                 self.pool.put(packet.payload);
-                match r {
-                    Ok(old) => {
-                        let mut payload = self.pool.take(8, &mut self.nic.stats);
-                        payload.extend_from_slice(&old.to_le_bytes());
-                        self.nic.stats.bytes_tx += 8;
-                        Ok(vec![Packet {
-                            src_node: packet.dst_node,
-                            dst_node: packet.src_node,
-                            dst_vi: reply_vi,
-                            kind: PacketKind::AtomicCasResp { ok: true },
-                            payload,
-                            imm: packet.imm,
-                        }])
-                    }
-                    Err(_) => {
-                        // Protection refusal: answer with a NACK instead of
-                        // silently abandoning the requester's parked
-                        // descriptor — a waiter must always get a typed
-                        // completion.
-                        self.nic.stats.protection_errors += 1;
-                        Ok(vec![Packet {
-                            src_node: packet.dst_node,
-                            dst_node: packet.src_node,
-                            dst_vi: reply_vi,
-                            kind: PacketKind::AtomicCasResp { ok: false },
-                            payload: Vec::new(),
-                            imm: packet.imm,
-                        }])
-                    }
-                }
+                let r = r.map(|old| {
+                    let mut payload = self.pool.take(8, &mut self.nic.stats);
+                    payload.extend_from_slice(&old.to_le_bytes());
+                    payload
+                });
+                Ok(self.respond((packet.dst_node, packet.src_node), reply_vi, packet.imm, r))
             }
-            PacketKind::AtomicCasResp { ok } => {
-                // Requester side: complete the parked CAS descriptor.
+            PacketKind::Response { ok } => {
+                // Requester side: complete the oldest parked descriptor.
                 let Some(desc) = self.nic.vi_mut(vi_id)?.pending_reads.pop_front() else {
                     self.pool.put(packet.payload);
-                    return Err(ViaError::BadState("CAS response without pending CAS"));
+                    return Err(ViaError::BadState("response without a pending request"));
                 };
-                if desc.op != DescOp::AtomicCas {
-                    self.pool.put(packet.payload);
-                    return Err(ViaError::BadState("CAS response for non-CAS descriptor"));
-                }
-                if !ok {
-                    let imm = packet.imm;
-                    self.pool.put(packet.payload);
-                    self.push_completion(
+                if ok {
+                    return self.complete_scatter(
                         vi_id,
-                        Completion {
-                            vi: vi_id,
-                            op: DescOp::AtomicCas,
-                            status: DescStatus::ProtectionError,
-                            len: 0,
-                            imm,
-                        },
-                    )?;
-                    return Ok(Vec::new());
+                        &desc,
+                        desc.op,
+                        packet.payload,
+                        packet.imm,
+                    );
                 }
-                self.complete_scatter(vi_id, &desc, DescOp::AtomicCas, packet.payload, packet.imm)
-            }
-            PacketKind::RdmaReadResp => {
-                // Requester side: scatter into the parked read descriptor.
-                let Some(desc) = self.nic.vi_mut(vi_id)?.pending_reads.pop_front() else {
-                    self.pool.put(packet.payload);
-                    return Err(ViaError::BadState("read response without pending read"));
-                };
-                self.complete_scatter(vi_id, &desc, DescOp::RdmaRead, packet.payload, packet.imm)
+                self.pool.put(packet.payload);
+                self.push_completion(
+                    vi_id,
+                    Completion {
+                        vi: vi_id,
+                        op: desc.op,
+                        status: DescStatus::ProtectionError,
+                        len: 0,
+                        imm: packet.imm,
+                    },
+                )?;
+                Ok(Vec::new())
             }
         }
+    }
+
+    /// The answer to a request (an RDMA read or a CAS), routed `(here,
+    /// requester)` back to the requester's `reply_vi`: the result's
+    /// payload, or an empty refusal, counted as a protection error. A
+    /// refused request is answered too, so the requester's parked
+    /// descriptor completes.
+    fn respond(
+        &mut self,
+        (here, requester): (usize, usize),
+        reply_vi: ViId,
+        imm: Option<u32>,
+        result: ViaResult<Vec<u8>>,
+    ) -> Vec<Packet> {
+        let (ok, payload) = match result {
+            Ok(payload) => {
+                self.nic.stats.bytes_tx += payload.len() as u64;
+                (true, payload)
+            }
+            Err(_) => {
+                self.nic.stats.protection_errors += 1;
+                (false, Vec::new())
+            }
+        };
+        vec![Packet {
+            src_node: here,
+            dst_node: requester,
+            dst_vi: reply_vi,
+            kind: PacketKind::Response { ok },
+            payload,
+            imm,
+        }]
     }
 
     /// SCI-style PIO store into one of this node's exported regions,
@@ -1244,7 +1230,7 @@ impl Node {
     /// under the region's own tag.
     fn pio_span(&self, mem: MemId, off: usize, len: usize) -> ViaResult<(DataSeg, Requester)> {
         let region = self.nic.tpt.region(mem)?;
-        if off.checked_add(len).is_none_or(|end| end > region.len) {
+        if !simmem::within(off as u64, len as u64, region.len as u64) {
             return Err(ViaError::OutOfBounds);
         }
         let addr = region.user_addr + off as u64;

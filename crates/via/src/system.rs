@@ -621,6 +621,7 @@ impl Fabric for ViaSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::{DescOp, DescStatus};
     use simmem::{prot, PAGE_SIZE};
 
     fn two_node_setup(strategy: StrategyKind) -> (ViaSystem, Pid, Pid, ViId, ViId, ProtectionTag) {
@@ -978,7 +979,13 @@ mod tests {
         // Default attributes: rdma_read disabled.
         let rh = sys.register_mem(1, pb, rbuf, PAGE_SIZE, tag).unwrap();
         sys.post_rdma_read(0, va, lh, lbuf, 8, rh, rbuf).unwrap();
-        assert_eq!(sys.pump(), Err(ViaError::RdmaDisabled));
+        // The target refuses and answers: the read completes in error.
+        sys.pump().unwrap();
+        let c = sys.poll_cq(0, va).unwrap().unwrap();
+        assert_eq!(
+            (c.op, c.status),
+            (DescOp::RdmaRead, DescStatus::ProtectionError)
+        );
         assert_eq!(sys.node(1).nic.stats.protection_errors, 1);
     }
 

@@ -426,12 +426,14 @@ impl Tpt {
             return Ok(());
         }
         // `addr` and `len` come from a descriptor — for RDMA, one a peer
-        // wrote — so the span's end is computed checked: a sum that wraps
-        // the address space lies outside every region.
-        let end = addr.checked_add(len as u64).ok_or(ViaError::OutOfBounds)?;
-        if addr < region_addr || end > region_addr + region_len as u64 {
+        // wrote — so the span is tested checked: a sum that wraps the
+        // address space lies outside every region.
+        let inside = (addr.checked_sub(region_addr))
+            .is_some_and(|off| simmem::within(off, len as u64, region_len as u64));
+        if !inside {
             return Err(ViaError::OutOfBounds);
         }
+        let end = addr + len as u64;
         if region_tag != want_tag {
             return Err(ViaError::ProtectionMismatch);
         }

@@ -22,6 +22,8 @@
 use std::collections::HashMap;
 
 use msg::{Comm, MsgConfig};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use simmem::{KernelConfig, VirtAddr, PAGE_SIZE};
 use vialock::StrategyKind;
 
@@ -39,16 +41,12 @@ const WARM: u64 = BATCHES / 10 + 1;
 /// Every `CHECK_EVERY`-th batch refills its source buffers with fresh bytes.
 const CHECK_EVERY: u64 = 64;
 
-/// The ruler's SplitMix64.
-struct Rng(u64);
+/// The ruler's stream: SplitMix64 from the seed itself.
+struct Rng(StdRng);
 
 impl Rng {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn bytes(&mut self, len: usize) -> Vec<u8> {
@@ -106,7 +104,7 @@ impl Run {
         .unwrap();
         Run {
             c,
-            rng: Rng(SEED),
+            rng: Rng(StdRng::seed_from_u64(SEED)),
             expect: HashMap::new(),
             messages: 0,
         }

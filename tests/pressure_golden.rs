@@ -17,6 +17,8 @@
 //! `MemoryRegistry::drain_lazy_invalidations` that moves any of them has
 //! changed behaviour, not just cost. Fix the order, not the numbers.
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use simmem::{prot, KernelConfig, Pid, VirtAddr, PAGE_SIZE};
 use via::{DescStatus, MemId, ProtectionTag, ViId, ViaSystem};
 use vialock::StrategyKind;
@@ -190,23 +192,18 @@ const GOLDEN: [(&str, u64); 12] = [
 /// FNV-1a over the frame of every buffer page after every operation.
 const GOLDEN_VICTIM_HASH: u64 = 0x040e_f90f_46d0_86f7;
 
-/// A payload that differs per operation (splitmix64; the counters do not
+/// A payload that differs per operation (SplitMix64; the counters do not
 /// depend on the bytes, the comparison at the far end does).
-fn fill(state: &mut u64, buf: &mut [u8]) {
+fn fill(rng: &mut StdRng, buf: &mut [u8]) {
     for chunk in buf.chunks_mut(8) {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        chunk.copy_from_slice(&z.to_le_bytes()[..chunk.len()]);
+        chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
     }
 }
 
 #[test]
 fn pressure_ondemand_golden() {
     let mut m = build();
-    let mut rng = 7u64;
+    let mut rng = StdRng::seed_from_u64(7);
     let (mut payload, mut got) = (vec![0u8; BUF_BYTES], vec![0u8; BUF_BYTES]);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for i in 0..WARM {

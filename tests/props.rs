@@ -548,11 +548,10 @@ mod dma_reference {
         vi: Vec<ViId>,
         area: Vec<[u64; 2]>,
         region: Vec<[DataSeg; 2]>,
-        /// The reference's receives posted on node 1 and reads parked on
-        /// node 0, oldest first: a refused send or read leaves its
-        /// descriptor queued for the next message.
+        /// The reference's receives posted on node 1, oldest first: a
+        /// refused send leaves its receive queued for the next message.
+        /// (A refused read is answered, so no read stays parked.)
         recv_q: VecDeque<Vec<DataSeg>>,
-        parked: VecDeque<Vec<DataSeg>>,
         /// A reliable connection does not survive a receive too small for
         /// its message: every later step is skipped.
         broken: bool,
@@ -617,7 +616,7 @@ mod dma_reference {
                         .unwrap();
                 }
             }
-            let (recv_q, parked) = (VecDeque::new(), VecDeque::new());
+            let recv_q = VecDeque::new();
             let broken = false;
             World {
                 sys,
@@ -628,7 +627,6 @@ mod dma_reference {
                 area,
                 region,
                 recv_q,
-                parked,
                 broken,
             }
         }
@@ -757,13 +755,14 @@ mod dma_reference {
                         len: total(&d),
                         ..t
                     }];
-                    self.parked.push_back(d);
-                    // The answer lands in the oldest parked read.
-                    let landed = self.take(1, &t, Access::RdmaRead).and_then(|data| {
-                        let d = self.parked.pop_front().unwrap();
-                        self.land(0, &d, &data, Access::Local)
-                    });
-                    match landed {
+                    // The target answers: with the bytes, which land in the
+                    // read's own buffers, or with a refusal that completes
+                    // the read in error.
+                    let Ok(data) = self.take(1, &t, Access::RdmaRead) else {
+                        cq[0].push((RdmaRead, ProtectionError, 0));
+                        return (err, cq);
+                    };
+                    match self.land(0, &d, &data, Access::Local) {
                         Ok(n) => cq[0].push((RdmaRead, Done, n)),
                         Err(e) => err = Some(e),
                     }
